@@ -9,6 +9,7 @@ prime produces byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -63,7 +64,7 @@ def _load_ideal(data, prime):
 
 def _emit(report, args):
     if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _json_text(report)
     else:
         text = _as_text(report) + "\n"
     if args.out:
@@ -71,6 +72,22 @@ def _emit(report, args):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _json_text(report):
+    """The report as indented, key-sorted JSON plus a newline.
+
+    Same text as json.dumps(report, indent=2, sort_keys=True) + "\n", but
+    joined in slices: json.dumps with an indent holds every small chunk
+    until the end, about six times the text, and for a large double-step
+    report that is the memory peak of the whole run.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    parts = []
+    while batch := list(itertools.islice(chunks, 4096)):
+        parts.append("".join(batch))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _as_text(obj, indent=0):

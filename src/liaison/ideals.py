@@ -307,22 +307,77 @@ class Ideal:
         return Ideal(self.ring, gens)
 
     def saturate(self, by):
-        """Stabilized iterated quotient I : by^infinity."""
-        current = self
-        while True:
-            nxt = current.quotient(by)
-            if nxt == current:
-                return current
-            current = nxt
+        """I : by^infinity for a linear form or an ideal of linear forms.
+
+        Bayer-Stillman: in coordinates where the linear form l is the last
+        variable, a degrevlex Groebner basis of I divided through by the
+        largest power of that variable generates I : l^infinity.  For an
+        ideal J = (l_1, ..., l_r), I : J^infinity is the intersection of
+        the I : l_i^infinity, and it is I as soon as one l_i strips nothing:
+        that l_i is a nonzerodivisor on R/I, so no associated prime
+        contains J.  The last variable goes first, on the cached basis.
+        """
+        if isinstance(by, str):
+            by = self.ring.parse(by)
+        forms = [by] if isinstance(by, Polynomial) else list(
+            self._coerce(by).generators)
+        for f in forms:
+            if f.ring != self.ring:
+                raise RingMismatchError("saturation across rings")
+            if f.degree() != 1 or not f.is_homogeneous():
+                raise AlgebraError(
+                    "saturate needs a linear form or an ideal of linear "
+                    "forms, got %s" % f)
+        # a multiple of the last variable first: it needs no new basis
+        last = self.ring.nvars - 1
+        forms.sort(key=lambda f: any(m[last] == 0 for m in f.terms))
+        out = None
+        for f in forms:
+            sat = self._saturate_linear(f)
+            if sat is self:
+                return self
+            out = sat if out is None else out.intersect(sat)
+        return Ideal(self.ring, [self.ring.one()]) if out is None else out
+
+    def _saturate_linear(self, ell):
+        """I : ell^infinity, or self itself when ell strips nothing."""
+        ring = self.ring
+        coeffs = [0] * ring.nvars
+        for m, c in ell.terms.items():
+            coeffs[m.index(1)] = c
+        j = max(i for i, c in enumerate(coeffs) if c)
+        x = ring.variables[j]
+        work = ring.with_variables(
+            tuple(v for v in ring.variables if v != x) + (x,))
+        pure = len(ell.terms) == 1
+        if pure and work == ring:
+            gb = self.groebner_basis()
+        elif pure:
+            gb = buchberger([g.map_to(work) for g in self.generators])
+        else:
+            # x -> x + (x - ell) / c_j sends ell to x
+            xw = work.variable(x)
+            image = xw + (xw - ell.map_to(work)) * ring.field.inv(coeffs[j])
+            gb = buchberger([g.substitute({x: image}, work)
+                             for g in self.generators])
+        stripped = []
+        for g in gb:
+            k = min(m[-1] for m in g.terms)
+            if k:
+                g = Polynomial(work, {m[:-1] + (m[-1] - k,): c
+                                      for m, c in g.terms.items()})
+            stripped.append(g)
+        if all(g is h for g, h in zip(stripped, gb)):
+            return self
+        if pure:
+            return Ideal(ring, [g.map_to(ring) for g in stripped])
+        return Ideal(ring, [g.substitute({x: ell}, ring) for g in stripped])
 
     def irrelevant_ideal(self):
         return Ideal(self.ring, self.ring.gens())
 
     def saturate_irrelevant(self):
         return self.saturate(self.irrelevant_ideal())
-
-    def is_saturated(self):
-        return self.saturate_irrelevant() == self
 
     def eliminate(self, names):
         """I intersected with the subring omitting `names`."""
@@ -564,7 +619,7 @@ class Ideal:
     def component_at_point(self, point, others, seed=0):
         """Primary piece at `point`, given ALL other support points.
 
-        Saturates by a product of one random linear form through each other
+        Saturates in turn by one random linear form through each other
         support point; each form must avoid `point`.
         """
         p = self.ring.prime
@@ -576,16 +631,12 @@ class Ideal:
             return self.saturate_irrelevant()
         for attempt in range(3):
             rng = random.Random("comp:%d:%d" % (seed, attempt))
-            h = self.ring.one()
-            ok = True
-            for q in others:
-                form = _random_form_through(self.ring, q, rng)
-                if form.evaluate(point) == 0:
-                    ok = False
-                    break
-                h = h * form
-            if ok:
-                return self.saturate(h)
+            forms = [_random_form_through(self.ring, q, rng) for q in others]
+            if all(form.evaluate(point) for form in forms):
+                piece = self
+                for form in forms:
+                    piece = piece.saturate(form)
+                return piece
         raise GenericityError("separating forms kept vanishing at the point")
 
     # -- ring movement -------------------------------------------------------

@@ -60,10 +60,6 @@ def nullspace(rows, p):
     return basis
 
 
-def mat_vec(M, v, p):
-    return [sum(a * b for a, b in zip(row, v)) % p for row in M]
-
-
 def transpose(M):
     return [list(col) for col in zip(*M)]
 

@@ -81,10 +81,6 @@ class PrimeField:
 # ---------------------------------------------------------------------------
 # monomials (exponent tuples)
 
-def mono_degree(m):
-    return sum(m)
-
-
 def mono_mul(a, b):
     out = tuple(x + y for x, y in zip(a, b))
     if any(x >= _EXP_LIMIT for x in out):
@@ -272,9 +268,6 @@ class PolyRing:
         rest = tuple(v for v in self.variables if v != name)
         order = self.order if self.order.kind != "elim" else DEGREVLEX
         return PolyRing(rest, self.prime, order)
-
-    def with_order(self, order):
-        return PolyRing(self.variables, self.prime, order)
 
     def with_variables(self, variables, order=None):
         return PolyRing(variables, self.prime,

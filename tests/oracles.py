@@ -1,8 +1,9 @@
 """Independent cross-checks used by several test modules.
 
-Everything here deliberately avoids the Groebner machinery under test:
+Everything here takes a different route from the code under test:
 membership by degree-truncated linear algebra, Hilbert functions by
-monomial counting, and sympy as an external basis oracle.
+monomial counting, sympy as an external basis oracle, and saturation as
+an iterated quotient instead of one stripped Groebner basis.
 """
 
 import itertools
@@ -103,3 +104,13 @@ def random_homogeneous(ring, degree, rng):
         if c:
             out = out + ring.monomial(m, c)
     return out
+
+
+def saturate_by_quotients(ideal, by):
+    """ideal : by^infinity as the stable value of ideal : by : by : ..."""
+    current = ideal
+    while True:
+        nxt = current.quotient(by)
+        if nxt == current:
+            return current
+        current = nxt

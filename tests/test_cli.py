@@ -5,7 +5,7 @@ import json
 import pytest
 
 from liaison.cli import (EXIT_GENERICITY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY,
-                         main)
+                         _json_text, main)
 
 
 def write(tmp_path, name, obj):
@@ -127,6 +127,15 @@ def test_double_step_output_is_byte_identical(tmp_path):
         assert main(["fatpoints", path, "--double-step", "--seed", "3",
                      "--out", str(out)]) == EXIT_OK
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_json_text_matches_json_dumps():
+    # enough chunks for several joined slices
+    report = {"seed": 0, "steps": [{"kind": "k%d" % i, "ok": i % 2 == 0,
+                                    "data": [i, None, "x", {"b": 1, "a": []}]}
+                                   for i in range(2000)]}
+    assert _json_text(report) == json.dumps(report, indent=2,
+                                            sort_keys=True) + "\n"
 
 
 def test_seed_changes_are_echoed(ci_file, capsys):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liaison import ideals
 from liaison.ideals import Ideal
 from liaison.rings import AlgebraError, PolyRing
 
 from .oracles import (ci_hilbert_numerator, hilbert_by_counting,
-                      random_homogeneous)
+                      random_homogeneous, saturate_by_quotients)
 
 P = 32003
 R3 = PolyRing(("x", "y", "z"), P)
@@ -70,6 +71,42 @@ def test_saturate_irrelevant_removes_irrelevant_component():
     mixed = Ideal(R3, [a * b for a in ideal.generators
                        for b in line.generators])
     assert mixed.saturate_irrelevant() == line
+
+
+def test_saturate_when_no_variable_is_a_nonzerodivisor():
+    # {[1:0:0:0], [0:1:0:0]} times m: every variable lies in an associated
+    # prime, so the saturation intersects the saturations by each variable
+    points = I4("x1", "x2", "x3").intersect(I4("x0", "x2", "x3"))
+    ideal = points * points.irrelevant_ideal()
+    assert all(ideal.saturate(v) != ideal for v in R4.gens())
+    sat = ideal.saturate_irrelevant()
+    assert sat == points
+    assert sat == saturate_by_quotients(ideal, ideal.irrelevant_ideal())
+
+
+def test_saturating_a_saturated_ideal_reuses_its_basis(monkeypatch):
+    # x3 is a nonzerodivisor on the twisted cubic: its own basis strips
+    # nothing, so no further Groebner basis is computed
+    calls = []
+    real = ideals.buchberger
+
+    def counting(gens):
+        calls.append(1)
+        return real(gens)
+
+    monkeypatch.setattr(ideals, "buchberger", counting)
+    cubic = I4("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")
+    assert cubic.saturate_irrelevant() is cubic
+    assert cubic.saturate(R4.parse("x3")) is cubic
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("by", ["x^2", "1", "x*y + z^2"])
+def test_saturate_rejects_nonlinear_forms(by):
+    with pytest.raises(AlgebraError):
+        I3("x*y").saturate(R3.parse(by))
+    with pytest.raises(AlgebraError):
+        I3("x*y").saturate(I3("x", by))
 
 
 def test_eliminate_projects_twisted_cubic():
@@ -207,3 +244,17 @@ def test_saturation_idempotent(seed):
         return
     s = a.saturate(f)
     assert s.saturate(f) == s
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=small_seeds)
+def test_saturation_matches_iterated_quotients(seed):
+    # a random ideal times a power of m is not saturated
+    rng = random.Random(seed)
+    a = random_ideal(R3, rng, max_deg=2)
+    m = a.irrelevant_ideal()
+    ideal = a * (m if rng.randrange(2) else m * m)
+    assert ideal.saturate_irrelevant() == saturate_by_quotients(ideal, m)
+    for f in (random_homogeneous(R3, 1, rng), rng.choice(R3.gens())):
+        if f:
+            assert ideal.saturate(f) == saturate_by_quotients(ideal, f)
