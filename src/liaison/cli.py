@@ -224,8 +224,7 @@ def cmd_embed(args):
         witness = _load_ideal(witness_data, args.prime)
         if witness.ring.variables != ext0.ring.variables:
             raise CliError("witness must use the extended variable list")
-    ext, residual, step = embed_and_link(ideal, witness=witness,
-                                         seed=args.seed, var=args.var)
+    ext, residual, step = embed_and_link(ideal, witness=witness, var=args.var)
     report = _base_report(args, "embed")
     report["prime"] = ideal.ring.prime
     report["step"] = step.to_json()

@@ -90,17 +90,24 @@ def normal_form(f, reducers):
     """
     if not isinstance(f, Polynomial):
         raise AlgebraError("normal_form expects a Polynomial")
-    ring = f.ring
-    basis = []
-    for g in reducers:
+    return normal_forms([f], reducers)[0]
+
+
+def normal_forms(polys, reducers):
+    """[normal_form(f, reducers) for f in polys], with the reducers
+    prepared once for the whole batch."""
+    polys = list(polys)
+    if not polys:
+        return []
+    ring = polys[0].ring
+    for g in polys + list(reducers):
         if g.ring != ring:
-            raise AlgebraError("reducers must share the ring of f")
-        if g:
-            basis.append(g)
-    if not basis or not f:
-        return f
-    basis = _make_basis([g.terms for g in basis], ring)
-    return Polynomial(ring, _reduce_dict(f.terms, basis, ring))
+            raise AlgebraError("polynomials and reducers must share a ring")
+    basis = _make_basis([g.terms for g in reducers if g], ring)
+    if not basis:
+        return polys
+    return [Polynomial(ring, _reduce_dict(f.terms, basis, ring)) if f else f
+            for f in polys]
 
 
 def _spoly_data(gi, gj, ring):

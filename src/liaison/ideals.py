@@ -12,8 +12,9 @@ import random
 from dataclasses import dataclass, field
 
 from . import modp
-from .groebner import buchberger, normal_form
-from .rings import AlgebraError, RingMismatchError, DEGREVLEX, MonomialOrder, Polynomial, PolyRing
+from .groebner import buchberger, normal_form, normal_forms
+from .rings import (AlgebraError, RingMismatchError, DEGREVLEX, MonomialOrder,
+                    Polynomial, PolyRing, mono_div, mono_divides)
 
 
 class GenericityError(AlgebraError):
@@ -187,6 +188,7 @@ class Ideal:
         self._gb = _gb
         self._numerator = None
         self._dim_deg = None
+        self._colons = None
 
     @classmethod
     def from_strings(cls, ring, texts):
@@ -283,7 +285,13 @@ class Ideal:
         return Ideal(self.ring, kept)
 
     def quotient(self, by):
-        """I : f or I : J."""
+        """I : f or I : J.
+
+        By a linear form, from one stripped degrevlex basis (see
+        `_colon_linear`); by any other form f, as (I meet (f)) / f through
+        an elimination basis.  I : J intersects the quotients by the
+        generators of J.
+        """
         if isinstance(by, str):
             by = self.ring.parse(by)
         if isinstance(by, Polynomial):
@@ -302,6 +310,8 @@ class Ideal:
             raise AlgebraError("quotient by the zero polynomial")
         if f.is_constant():
             return self
+        if f.degree() == 1 and f.is_homogeneous():
+            return self._colon_linear(f, 1)
         meet = self.intersect(Ideal(self.ring, [f]))
         gens = [_exact_div(g, f) for g in meet.groebner_basis()]
         return Ideal(self.ring, gens)
@@ -309,9 +319,7 @@ class Ideal:
     def saturate(self, by):
         """I : by^infinity for a linear form or an ideal of linear forms.
 
-        Bayer-Stillman: in coordinates where the linear form l is the last
-        variable, a degrevlex Groebner basis of I divided through by the
-        largest power of that variable generates I : l^infinity.  For an
+        For a linear form l this is `_colon_linear(l, infinity)`.  For an
         ideal J = (l_1, ..., l_r), I : J^infinity is the intersection of
         the I : l_i^infinity, and it is I as soon as one l_i strips nothing:
         that l_i is a nonzerodivisor on R/I, so no associated prime
@@ -333,19 +341,40 @@ class Ideal:
         forms.sort(key=lambda f: any(m[last] == 0 for m in f.terms))
         out = None
         for f in forms:
-            sat = self._saturate_linear(f)
+            sat = self._colon_linear(f, math.inf)
             if sat is self:
                 return self
             out = sat if out is None else out.intersect(sat)
         return Ideal(self.ring, [self.ring.one()]) if out is None else out
 
-    def _saturate_linear(self, ell):
-        """I : ell^infinity, or self itself when ell strips nothing."""
+    def _colon_linear(self, ell, cap):
+        """I : ell^cap for a linear form ell and cap = 1 or math.inf.
+
+        Bayer-Stillman (Eisenbud, Commutative Algebra, Prop. 15.12): in
+        coordinates where ell is the last variable x, a degrevlex Groebner
+        basis of I, with min(cap, k) powers of x divided out of each element
+        divisible by exactly x^k, is a Groebner basis of I : x^cap.  The
+        basis is reduced, so it strips nothing exactly when I : ell = I, and
+        then self itself is returned.  Results are kept per ideal, keyed by
+        ell up to a scalar and by cap.
+        """
         ring = self.ring
+        if ell.ring != ring:
+            raise RingMismatchError("colon across rings")
         coeffs = [0] * ring.nvars
         for m, c in ell.terms.items():
             coeffs[m.index(1)] = c
         j = max(i for i, c in enumerate(coeffs) if c)
+        # ell / c_j: the key, and the form the work is done with
+        inv = ring.field.inv(coeffs[j])
+        coeffs = tuple((c * inv) % ring.prime for c in coeffs)
+        if self._colons is None:
+            self._colons = {}
+        key = (coeffs, cap)
+        if key in self._colons:
+            # None stands for self, which is not stored in its own memo
+            return self._colons[key] or self
+        ell = ring.linear_form(coeffs)
         x = ring.variables[j]
         work = ring.with_variables(
             tuple(v for v in ring.variables if v != x) + (x,))
@@ -355,23 +384,27 @@ class Ideal:
         elif pure:
             gb = buchberger([g.map_to(work) for g in self.generators])
         else:
-            # x -> x + (x - ell) / c_j sends ell to x
+            # x -> 2x - ell sends ell to x
             xw = work.variable(x)
-            image = xw + (xw - ell.map_to(work)) * ring.field.inv(coeffs[j])
+            image = xw + xw - ell.map_to(work)
             gb = buchberger([g.substitute({x: image}, work)
                              for g in self.generators])
         stripped = []
         for g in gb:
-            k = min(m[-1] for m in g.terms)
+            k = min(cap, min(m[-1] for m in g.terms))
             if k:
                 g = Polynomial(work, {m[:-1] + (m[-1] - k,): c
                                       for m, c in g.terms.items()})
             stripped.append(g)
         if all(g is h for g, h in zip(stripped, gb)):
-            return self
-        if pure:
-            return Ideal(ring, [g.map_to(ring) for g in stripped])
-        return Ideal(ring, [g.substitute({x: ell}, ring) for g in stripped])
+            out = self
+        elif pure:
+            out = Ideal(ring, [g.map_to(ring) for g in stripped])
+        else:
+            out = Ideal(ring, [g.substitute({x: ell}, ring)
+                               for g in stripped])
+        self._colons[key] = None if out is self else out
+        return out
 
     def irrelevant_ideal(self):
         return Ideal(self.ring, self.ring.gens())
@@ -456,6 +489,8 @@ class Ideal:
             f = self.ring.parse(f)
         if not f:
             return False
+        if f.degree() == 1 and f.is_homogeneous():
+            return self._colon_linear(f, 1) is self
         return self.quotient(f) == self
 
     def cm_test(self, seed=0):
@@ -478,7 +513,7 @@ class Ideal:
             for _ in range(d):
                 ell = _random_linear_form(self.ring, rng)
                 forms.append(str(ell))
-                if current.quotient(ell) != current:
+                if current._colon_linear(ell, 1) is not current:
                     ok = False
                     break
                 current = current + Ideal(self.ring, [ell])
@@ -527,8 +562,12 @@ class Ideal:
     def is_reduced_zero_dim(self, seed=0):
         """Radical test for zero-dimensional subschemes of projective space.
 
-        Squarefree characteristic polynomial of a random linear multiplier
-        plus an eigenvalue count matching the degree.
+        True when a random linear multiplier on the affine algebra, of
+        dimension deg, has a squarefree characteristic polynomial.  That is
+        sufficient: over the algebraic closure the multiplier then takes
+        deg distinct values, one on each local factor, so every local factor
+        has length one and the scheme is reduced, whether or not its points
+        are rational over GF(p).  False after two random multipliers fail.
         """
         if self.krull_dim() != 1:
             raise AlgebraError("is_reduced_zero_dim needs dim(R/I) = 1")
@@ -544,11 +583,8 @@ class Ideal:
             lam = _random_linear_form(aff, rng)
             M = _mult_matrix(lam, gb, std, aff)
             chi = modp.charpoly(M, aff.prime)
-            if not modp.is_squarefree(chi, aff.prime):
-                if attempt == 0:
-                    continue
-                return False
-            return modp.distinct_root_count(chi, aff.prime) == deg
+            if modp.is_squarefree(chi, aff.prime):
+                return True
         return False
 
     def rational_points(self, seed=0):
@@ -576,7 +612,8 @@ class Ideal:
                 raise GenericityError("non-rational or non-reduced support")
             Mt = modp.transpose(M)
             pts = []
-            var_nf = {v: normal_form(aff.variable(v), gb) for v in aff.variables}
+            var_nf = dict(zip(aff.variables,
+                              normal_forms(aff.gens(), gb)))
             std_index = {m: i for i, m in enumerate(std)}
             one_idx = std_index[(0,) * aff.nvars]
             for r in eigs:
@@ -684,7 +721,6 @@ def _exact_div(g, f):
     rem = g
     flt = f.leading_monomial()
     finv = ring.field.inv(f.leading_coeff())
-    from .rings import mono_div, mono_divides
     while rem:
         rlt = rem.leading_monomial()
         if not mono_divides(flt, rlt):
@@ -731,7 +767,6 @@ def _standard_monomials(gb, ring, max_dim):
         return []
     lts = [g.leading_monomial() for g in gb]
     n = ring.nvars
-    from .rings import mono_divides
     start = (0,) * n
     seen = {start}
     queue = [start]
@@ -756,9 +791,7 @@ def _mult_matrix(g, gb, std, ring):
     """Matrix of multiplication by g on the quotient, in the basis std."""
     index = {m: i for i, m in enumerate(std)}
     cols = []
-    for m in std:
-        prod = g * ring.monomial(m)
-        nf = normal_form(prod, list(gb))
+    for nf in normal_forms([g * ring.monomial(m) for m in std], gb):
         col = [0] * len(std)
         for mm, c in nf.terms.items():
             col[index[mm]] = c

@@ -1,8 +1,10 @@
 """Liaison machinery: direct links, Gorenstein sums, the key colon identity.
 
 The engine works with explicit generator data throughout: a link is always
-computed as a literal ideal quotient, and every claimed property is verified
-on the nose rather than assumed from theory.
+computed as a literal ideal quotient (by a linear form from one stripped
+degrevlex Groebner basis, by any other form through an elimination basis),
+and every claimed property is verified on the nose rather than assumed from
+theory.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def lemma_key_link(ideal, f, other, report=None):
     return combined, step
 
 
-def embed_and_link(ideal, witness=None, seed=0, var="t"):
+def embed_and_link(ideal, witness=None, var="t"):
     """Extend the ring by one variable and link off a Gorenstein witness.
 
     The input ideal is re-read in R[t]; `witness` must be an arithmetically

@@ -190,18 +190,6 @@ def is_squarefree(f, p):
     return len(poly_gcd(f, d, p)) == 1
 
 
-def distinct_root_count(f, p):
-    """Number of distinct roots of f in GF(p)."""
-    f = poly_trim(list(f))
-    if len(f) <= 1:
-        return 0
-    xp = poly_pow_mod([0, 1], p, f, p)
-    xp_minus_x = poly_trim([(a - b) % p for a, b in
-                            zip(xp + [0] * len(f), [0, 1] + [0] * len(f))])
-    g = poly_gcd(f, xp_minus_x, p)
-    return len(g) - 1 if g else len(f) - 1
-
-
 def roots(f, p, rng=None):
     """All roots of f in GF(p) (without multiplicity), by gcd splitting."""
     rng = rng or random.Random(0)

@@ -2,14 +2,16 @@
 
 Everything here takes a different route from the code under test:
 membership by degree-truncated linear algebra, Hilbert functions by
-monomial counting, sympy as an external basis oracle, and saturation as
-an iterated quotient instead of one stripped Groebner basis.
+monomial counting, sympy as an external basis oracle, quotients through an
+elimination basis, and saturation as an iterated quotient, instead of one
+stripped Groebner basis.
 """
 
 import itertools
 
 from liaison import modp
-from liaison.rings import mono_divides
+from liaison.ideals import Ideal, _exact_div
+from liaison.rings import Polynomial, mono_divides
 
 
 def degree_monomials(n, d):
@@ -106,11 +108,28 @@ def random_homogeneous(ring, degree, rng):
     return out
 
 
+def quotient_by_elimination(ideal, by):
+    """ideal : by for a form or an ideal, as (ideal meet (f)) / f.
+
+    The intersection comes from an elimination basis in one extra
+    variable; by an ideal, the quotients by its generators are intersected.
+    """
+    forms = [by] if isinstance(by, Polynomial) else list(by.generators)
+    out = None
+    for f in forms:
+        meet = ideal.intersect(Ideal(ideal.ring, [f]))
+        q = Ideal(ideal.ring,
+                  [_exact_div(g, f) for g in meet.groebner_basis()])
+        out = q if out is None else out.intersect(q)
+    return out
+
+
 def saturate_by_quotients(ideal, by):
-    """ideal : by^infinity as the stable value of ideal : by : by : ..."""
+    """ideal : by^infinity as the stable value of ideal : by : by : ...,
+    each quotient by elimination."""
     current = ideal
     while True:
-        nxt = current.quotient(by)
+        nxt = quotient_by_elimination(current, by)
         if nxt == current:
             return current
         current = nxt

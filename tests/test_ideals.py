@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liaison import ideals
+from liaison import groebner, ideals
+from liaison.groebner import normal_form
 from liaison.ideals import Ideal
 from liaison.rings import AlgebraError, PolyRing
 
 from .oracles import (ci_hilbert_numerator, hilbert_by_counting,
-                      random_homogeneous, saturate_by_quotients)
+                      quotient_by_elimination, random_homogeneous,
+                      saturate_by_quotients)
 
 P = 32003
 R3 = PolyRing(("x", "y", "z"), P)
@@ -73,6 +75,18 @@ def test_saturate_irrelevant_removes_irrelevant_component():
     assert mixed.saturate_irrelevant() == line
 
 
+def _counting_buchberger(monkeypatch):
+    calls = []
+    real = ideals.buchberger
+
+    def counting(gens):
+        calls.append(1)
+        return real(gens)
+
+    monkeypatch.setattr(ideals, "buchberger", counting)
+    return calls
+
+
 def test_saturate_when_no_variable_is_a_nonzerodivisor():
     # {[1:0:0:0], [0:1:0:0]} times m: every variable lies in an associated
     # prime, so the saturation intersects the saturations by each variable
@@ -87,14 +101,7 @@ def test_saturate_when_no_variable_is_a_nonzerodivisor():
 def test_saturating_a_saturated_ideal_reuses_its_basis(monkeypatch):
     # x3 is a nonzerodivisor on the twisted cubic: its own basis strips
     # nothing, so no further Groebner basis is computed
-    calls = []
-    real = ideals.buchberger
-
-    def counting(gens):
-        calls.append(1)
-        return real(gens)
-
-    monkeypatch.setattr(ideals, "buchberger", counting)
+    calls = _counting_buchberger(monkeypatch)
     cubic = I4("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")
     assert cubic.saturate_irrelevant() is cubic
     assert cubic.saturate(R4.parse("x3")) is cubic
@@ -107,6 +114,38 @@ def test_saturate_rejects_nonlinear_forms(by):
         I3("x*y").saturate(R3.parse(by))
     with pytest.raises(AlgebraError):
         I3("x*y").saturate(I3("x", by))
+
+
+def test_linear_colons_are_memoised(monkeypatch):
+    calls = _counting_buchberger(monkeypatch)
+    # z is a zerodivisor: (x*z, y*z^2) : z = (x, y*z)
+    ideal = I3("x*z", "y*z^2")
+    ell = R3.parse("x + 2*y + 3*z")
+    q = ideal.quotient(ell)
+    assert ideal.quotient(ell) is q
+    assert ideal.quotient(ell * 5) is q
+    assert ideal.is_regular_element(ell * 7) == (q is ideal)
+    sat = ideal.saturate(ell)
+    assert ideal.saturate(ell * 3) is sat
+    assert len(calls) == 2          # one basis for each of I : l, I : l^inf
+    z = R3.parse("z")
+    qz = ideal.quotient(z)
+    assert ideal.quotient(z * 4) is qz
+    assert not ideal.is_regular_element(z)
+    assert len(calls) == 3          # the cached basis of I itself
+    assert qz == I3("x", "y*z")
+
+
+def test_regular_linear_form_strips_nothing(monkeypatch):
+    calls = _counting_buchberger(monkeypatch)
+    cubic = I4("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")
+    x3 = R4.parse("x3")
+    assert cubic.quotient(x3) is cubic
+    assert cubic.is_regular_element(x3 * 2)
+    cubic.groebner_basis()
+    assert len(calls) == 1          # the cubic's own basis, cached
+    assert cubic.is_regular_element(R4.parse("x0 + x3"))
+    assert len(calls) == 2
 
 
 def test_eliminate_projects_twisted_cubic():
@@ -173,6 +212,49 @@ def test_reducedness_of_point_sets():
     fat = Ideal(R4, [a * b for a in I4("x0", "x1", "x2").generators
                      for b in I4("x0", "x1", "x2").generators])
     assert not fat.is_reduced_zero_dim(seed=3)
+
+
+def test_reducedness_of_conjugate_points():
+    # x^2 + y^2 is irreducible over GF(32003), as 32003 = 3 mod 4: the
+    # scheme is two reduced points, neither of them rational
+    assert I3("x^2 + y^2", "z").is_reduced_zero_dim(seed=0)
+    assert not I3("x^2", "z").is_reduced_zero_dim(seed=0)
+
+
+def _zero_dim_algebra(seed):
+    rng = random.Random("mult:%d" % seed)
+    while True:
+        ideal = Ideal(R3, [random_homogeneous(R3, d, rng) for d in (2, 3)])
+        if ideal.krull_dim() == 1:
+            return ideal._affine_algebra(seed), rng
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mult_matrix_matches_columnwise_normal_forms(seed):
+    (aff, gb, std, _), rng = _zero_dim_algebra(seed)
+    lam = ideals._random_linear_form(aff, rng)
+    matrix = ideals._mult_matrix(lam, gb, std, aff)
+    index = {m: i for i, m in enumerate(std)}
+    assert len(std) == 6
+    for j, m in enumerate(std):
+        col = [0] * len(std)
+        for mm, c in normal_form(lam * aff.monomial(m), gb).terms.items():
+            col[index[mm]] = c
+        assert [row[j] for row in matrix] == col
+
+
+def test_mult_matrix_prepares_the_reducers_once(monkeypatch):
+    (aff, gb, std, _), rng = _zero_dim_algebra(0)
+    calls = []
+    real = groebner._make_basis
+
+    def counting(polys, ring):
+        calls.append(1)
+        return real(polys, ring)
+
+    monkeypatch.setattr(groebner, "_make_basis", counting)
+    ideals._mult_matrix(ideals._random_linear_form(aff, rng), gb, std, aff)
+    assert len(calls) == 1
 
 
 def test_rational_points_recovers_support():
@@ -258,3 +340,49 @@ def test_saturation_matches_iterated_quotients(seed):
     for f in (random_homogeneous(R3, 1, rng), rng.choice(R3.gens())):
         if f:
             assert ideal.saturate(f) == saturate_by_quotients(ideal, f)
+
+
+def _forms_of_each_kind(ring, rng):
+    """The last variable, another variable, a general linear form and one
+    with zero coefficient on the last variable."""
+    n = ring.nvars
+    general = [rng.randrange(1, P) for _ in range(n)]
+    no_last = [rng.randrange(1, P) for _ in range(n - 1)] + [0]
+    return [ring.gens()[-1], ring.gens()[rng.randrange(n - 1)],
+            ring.linear_form(general), ring.linear_form(no_last)]
+
+
+def _check_cm_test_against_elimination(ideal, seed):
+    # each attempt is a run of regular forms, ended early by a zerodivisor
+    ok, cert = ideal.cm_test(seed=seed)
+    for attempt in cert["attempts"]:
+        current = ideal
+        forms = attempt["forms"]
+        for i, text in enumerate(forms):
+            ell = ideal.ring.parse(text)
+            regular = quotient_by_elimination(current, ell) == current
+            assert regular == (attempt["regular"] or i < len(forms) - 1)
+            current = current + Ideal(ideal.ring, [ell])
+    if cert["attempts"]:
+        assert ok == cert["attempts"][-1]["regular"]
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=small_seeds)
+def test_linear_colon_matches_elimination(seed):
+    # a random ideal, and the same times m or m^2, on which every form is
+    # a zerodivisor
+    rng = random.Random(seed)
+    a = random_ideal(R3, rng, max_deg=2)
+    if a.is_zero():
+        return
+    m = a.irrelevant_ideal()
+    embedded = a * (m if rng.randrange(2) else m * m)
+    for ideal in (a, embedded):
+        for ell in _forms_of_each_kind(R3, rng):
+            ref = quotient_by_elimination(ideal, ell)
+            assert ideal.quotient(ell) == ref
+            assert ideal.is_regular_element(ell) == (ref == ideal)
+        _check_cm_test_against_elimination(ideal, seed)
+    assert not embedded.is_regular_element(
+        rng.choice(_forms_of_each_kind(R3, rng)))

@@ -109,7 +109,7 @@ def test_colon_identity_random_instances(seed):
 
 def test_embed_and_link_preserves_hilbert_function():
     ci = I4("x0^2 + x1*x3", "x2^3")
-    ext, residual, step = embed_and_link(ci, seed=2)
+    ext, residual, step = embed_and_link(ci)
     assert step.passed()
     assert ext.ring.variables == ("x0", "x1", "x2", "x3", "t")
     assert residual.is_unit()          # self-link leaves nothing
