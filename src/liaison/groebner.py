@@ -169,7 +169,10 @@ def buchberger(generators):
                     and mono_lcm(lts[j], lt) != lcm):
                 continue
             keep.append(entry)
-        pairs[:] = keep
+        if len(keep) < len(pairs):
+            # a filtered heap need not be a heap
+            pairs[:] = keep
+            heapq.heapify(pairs)
         # new pairs, pruned by the product criterion and mutual redundancy
         fresh = {}
         for i in range(t):

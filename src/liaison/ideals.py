@@ -288,9 +288,10 @@ class Ideal:
         """I : f or I : J.
 
         By a linear form, from one stripped degrevlex basis (see
-        `_colon_linear`); by any other form f, as (I meet (f)) / f through
-        an elimination basis.  I : J intersects the quotients by the
-        generators of J.
+        `_colon_linear`); by any other form f, the unit ideal when f lies
+        in I (one normal form against the cached basis), else
+        (I meet (f)) / f through an elimination basis.  I : J intersects
+        the quotients by the generators of J.
         """
         if isinstance(by, str):
             by = self.ring.parse(by)
@@ -298,7 +299,7 @@ class Ideal:
             return self._quotient_poly(by)
         by = self._coerce(by)
         if by.is_zero():
-            return Ideal(self.ring, [self.ring.one()])
+            return _unit_ideal(self.ring)
         out = None
         for g in by.generators:
             q = self._quotient_poly(g)
@@ -312,6 +313,8 @@ class Ideal:
             return self
         if f.degree() == 1 and f.is_homogeneous():
             return self._colon_linear(f, 1)
+        if self.contains(f):
+            return _unit_ideal(self.ring)
         meet = self.intersect(Ideal(self.ring, [f]))
         gens = [_exact_div(g, f) for g in meet.groebner_basis()]
         return Ideal(self.ring, gens)
@@ -345,7 +348,7 @@ class Ideal:
             if sat is self:
                 return self
             out = sat if out is None else out.intersect(sat)
-        return Ideal(self.ring, [self.ring.one()]) if out is None else out
+        return _unit_ideal(self.ring) if out is None else out
 
     def _colon_linear(self, ell, cap):
         """I : ell^cap for a linear form ell and cap = 1 or math.inf.
@@ -374,21 +377,7 @@ class Ideal:
         if key in self._colons:
             # None stands for self, which is not stored in its own memo
             return self._colons[key] or self
-        ell = ring.linear_form(coeffs)
-        x = ring.variables[j]
-        work = ring.with_variables(
-            tuple(v for v in ring.variables if v != x) + (x,))
-        pure = len(ell.terms) == 1
-        if pure and work == ring:
-            gb = self.groebner_basis()
-        elif pure:
-            gb = buchberger([g.map_to(work) for g in self.generators])
-        else:
-            # x -> 2x - ell sends ell to x
-            xw = work.variable(x)
-            image = xw + xw - ell.map_to(work)
-            gb = buchberger([g.substitute({x: image}, work)
-                             for g in self.generators])
+        ell, work, gb = self._basis_with_last(coeffs)
         stripped = []
         for g in gb:
             k = min(cap, min(m[-1] for m in g.terms))
@@ -398,13 +387,39 @@ class Ideal:
             stripped.append(g)
         if all(g is h for g, h in zip(stripped, gb)):
             out = self
-        elif pure:
+        elif len(ell.terms) == 1:
             out = Ideal(ring, [g.map_to(ring) for g in stripped])
         else:
+            x = work.variables[-1]
             out = Ideal(ring, [g.substitute({x: ell}, ring)
                                for g in stripped])
         self._colons[key] = None if out is self else out
         return out
+
+    def _basis_with_last(self, coeffs):
+        """Reduced degrevlex basis of I with a linear form as last variable.
+
+        `coeffs` are the coefficients of the form ell, its last nonzero
+        one, on x, equal to 1.  Returns (ell, work, gb): `work` is the
+        degrevlex ring with x moved last, and gb the basis of the image of I
+        under x -> 2x - ell, which sends ell to x (a renaming when ell is x).
+        When ell is the ring's last variable, gb is the cached basis.
+        """
+        ring = self.ring
+        ell = ring.linear_form(coeffs)
+        x = ring.variables[max(i for i, c in enumerate(coeffs) if c)]
+        work = ring.with_variables(
+            tuple(v for v in ring.variables if v != x) + (x,))
+        if len(ell.terms) == 1 and work == ring:
+            gb = self.groebner_basis()
+        elif len(ell.terms) == 1:
+            gb = buchberger([g.map_to(work) for g in self.generators])
+        else:
+            xw = work.variable(x)
+            image = xw + xw - ell.map_to(work)
+            gb = buchberger([g.substitute({x: image}, work)
+                             for g in self.generators])
+        return ell, work, gb
 
     def irrelevant_ideal(self):
         return Ideal(self.ring, self.ring.gens())
@@ -496,22 +511,33 @@ class Ideal:
     def cm_test(self, seed=0):
         """Randomized Cohen-Macaulay test via a linear system of parameters.
 
-        Returns (verdict, certificate); the certificate records the seed,
-        attempts, and the linear forms used.
+        Up to three attempts each try dim(R/I) linear forms, every one
+        regular modulo I and the forms before it.  An attempt that succeeds
+        proves R/I Cohen-Macaulay.  The first attempt starts with the ring's
+        last variable when that strips nothing from the cached basis (see
+        `_colon_linear`), which costs no further basis; every other form is
+        seeded and random.  False is not a proof, since a random form can
+        lie in an associated prime by chance: its certificate records
+        "conclusive": False.  The certificate also records the seed and
+        every attempt with its forms.
         """
         d = self.krull_dim()
-        cert = {"seed": seed, "dim": d, "attempts": []}
-        if self.is_unit():
+        cert = {"seed": seed, "dim": d, "attempts": [], "conclusive": True}
+        if self.is_unit() or d == 0:
             return True, cert
-        if d == 0:
-            return True, cert
+        last = self.ring.gens()[-1]
+        # the first form of the first attempt, when it is regular
+        given = [last] if self._colon_linear(last, 1) is self else []
         for attempt in range(3):
             rng = random.Random("cm:%d:%d" % (seed, attempt))
             forms = []
             current = self
             ok = True
             for _ in range(d):
-                ell = _random_linear_form(self.ring, rng)
+                if given:
+                    ell = given.pop()
+                else:
+                    ell = _random_linear_form(self.ring, rng)
                 forms.append(str(ell))
                 if current._colon_linear(ell, 1) is not current:
                     ok = False
@@ -521,63 +547,58 @@ class Ideal:
             if ok:
                 cert["forms"] = forms
                 return True, cert
+        cert["conclusive"] = False
         return False, cert
 
     # -- zero-dimensional scheme machinery ------------------------------------
 
-    def _affine_algebra(self, seed, max_dim=100000):
-        """Dehomogenize by a random hyperplane; return the quotient data.
+    def _affine_algebra(self, seed):
+        """The affine algebra of dim(R/I) = 1 on a chart holding every point.
+
+        Tries the chart x_n = 1 of the ring's last variable, then seeded
+        random charts ell = 1 (`_chart_forms`).  In coordinates where ell
+        is the last variable x, the degrevlex basis of I, each element
+        divided by the largest power of x dividing it, is a Groebner basis
+        of I : x^infinity in which no leading term involves x
+        (Bayer-Stillman; see `_colon_linear`).  So setting x = 1 in it,
+        which is setting x = 1 in the basis of I, gives a Groebner basis of
+        the affine ideal.  For the chart x_n = 1 that basis is the cached
+        one, reduced when x_n is a nonzerodivisor.  A chart is taken when
+        its algebra has dimension deg(I), that is when no point lies on
+        ell = 0.
 
         Returns (affine ring, GB, standard monomials, coordinate map) where
         the coordinate map sends each original variable to its affine image.
         """
-        rng = random.Random("deh:%d" % seed)
-        ring = self.ring
-        p = ring.prime
-        for attempt in range(6):
-            coeffs = [rng.randrange(1, p) for _ in ring.variables]
-            j = rng.randrange(ring.nvars)
-            rest = [v for i, v in enumerate(ring.variables) if i != j]
-            aff = ring.with_variables(tuple(rest))
-            inv = pow(coeffs[j], p - 2, p)
-            # x_j = (1 - sum_{i != j} c_i x_i) / c_j
-            acc = aff.constant(1)
-            for i, v in enumerate(ring.variables):
-                if i != j:
-                    acc = acc - coeffs[i] * aff.variable(v)
-            repl = inv * acc
-            assignment = {ring.variables[j]: repl}
-            for v in rest:
-                assignment[v] = aff.variable(v)
-            gens = [g.substitute(assignment, aff) for g in self.generators]
-            gb = buchberger([g for g in gens if g])
-            std = _standard_monomials(gb, aff, max_dim)
-            if std is not None:
-                coords = {}
-                for i, v in enumerate(ring.variables):
-                    coords[v] = repl if i == j else aff.variable(v)
+        deg = self.degree()
+        for coeffs in _chart_forms(self.ring, seed):
+            ell, work, gb = self._basis_with_last(coeffs)
+            x = work.variables[-1]
+            aff = work.drop(x)
+            gb = [_dehomogenize(g, aff) for g in gb]
+            std = _standard_monomials(gb, aff, deg)
+            if std is not None and len(std) == deg:
+                coords = {v: aff.variable(v) for v in aff.variables}
+                # x is 2x - ell in the new coordinates, taken at x = 1
+                xw = work.variable(x)
+                coords[x] = _dehomogenize(xw + xw - ell.map_to(work), aff)
                 return aff, gb, std, coords
-        raise GenericityError("could not find a finite dehomogenization")
+        raise GenericityError("no chart holds all %d points" % deg)
 
     def is_reduced_zero_dim(self, seed=0):
         """Radical test for zero-dimensional subschemes of projective space.
 
-        True when a random linear multiplier on the affine algebra, of
-        dimension deg, has a squarefree characteristic polynomial.  That is
-        sufficient: over the algebraic closure the multiplier then takes
-        deg distinct values, one on each local factor, so every local factor
-        has length one and the scheme is reduced, whether or not its points
-        are rational over GF(p).  False after two random multipliers fail.
+        True when a random linear multiplier on the affine algebra of a
+        chart that holds every point (`_affine_algebra`), of dimension deg,
+        has a squarefree characteristic polynomial.  That is sufficient:
+        over the algebraic closure the multiplier then takes deg distinct
+        values, one on each local factor, so every local factor has length
+        one and the scheme is reduced, whether or not its points are
+        rational over GF(p).  False after two random multipliers fail.
         """
         if self.krull_dim() != 1:
             raise AlgebraError("is_reduced_zero_dim needs dim(R/I) = 1")
-        deg = self.degree()
         aff, gb, std, _ = self._affine_algebra(seed)
-        if len(std) != deg:
-            # support at infinity for this hyperplane; try another one
-            aff, gb, std, _ = self._affine_algebra(seed + 101)
-            if len(std) != deg:
-                raise GenericityError("affine algebra dimension mismatch")
         for attempt in range(2):
             rng = random.Random("red:%d:%d" % (seed, attempt))
             lam = _random_linear_form(aff, rng)
@@ -595,11 +616,8 @@ class Ideal:
         """
         if self.krull_dim() != 1:
             raise AlgebraError("rational_points needs dim(R/I) = 1")
-        deg = self.degree()
         p = self.ring.prime
         aff, gb, std, coords = self._affine_algebra(seed)
-        if len(std) != deg:
-            raise GenericityError("affine algebra dimension mismatch")
         for attempt in range(4):
             rng = random.Random("pts:%d:%d" % (seed, attempt))
             lam = _random_linear_form(aff, rng)
@@ -608,7 +626,7 @@ class Ideal:
             if not modp.is_squarefree(chi, p):
                 continue
             eigs = modp.roots(chi, p, rng)
-            if len(eigs) != deg:
+            if len(eigs) != len(std):
                 raise GenericityError("non-rational or non-reduced support")
             Mt = modp.transpose(M)
             pts = []
@@ -732,6 +750,29 @@ def _exact_div(g, f):
     return q
 
 
+def _unit_ideal(ring):
+    one = ring.one()
+    return Ideal(ring, [one], _gb=(one,))
+
+
+def _dehomogenize(g, aff):
+    """Homogeneous g at last variable 1, in the ring `aff` of the others.
+
+    No two terms of a homogeneous polynomial meet when that variable goes.
+    """
+    return Polynomial(aff, {m[:-1]: c for m, c in g.terms.items()})
+
+
+def _chart_forms(ring, seed):
+    """Coefficients of the chart forms `_affine_algebra` tries: the last
+    variable, then six seeded random forms with last coefficient 1."""
+    n = ring.nvars
+    yield (0,) * (n - 1) + (1,)
+    rng = random.Random("deh:%d" % seed)
+    for _ in range(6):
+        yield tuple(rng.randrange(1, ring.prime) for _ in range(n - 1)) + (1,)
+
+
 def _random_linear_form(ring, rng):
     while True:
         coeffs = [rng.randrange(ring.prime) for _ in ring.variables]
@@ -762,7 +803,7 @@ def normalize_point(point, p):
 
 
 def _standard_monomials(gb, ring, max_dim):
-    """Monomials outside the leading-term ideal; None if infinite/too big."""
+    """Monomials outside the leading-term ideal; None if more than max_dim."""
     if any(g.is_constant() for g in gb):
         return []
     lts = [g.leading_monomial() for g in gb]

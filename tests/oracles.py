@@ -3,13 +3,15 @@
 Everything here takes a different route from the code under test:
 membership by degree-truncated linear algebra, Hilbert functions by
 monomial counting, sympy as an external basis oracle, quotients through an
-elimination basis, and saturation as an iterated quotient, instead of one
-stripped Groebner basis.
+elimination basis, saturation as an iterated quotient, instead of one
+stripped Groebner basis, and the affine chart of a scheme by Buchberger on
+the dehomogenized generators, instead of the dehomogenized projective basis.
 """
 
 import itertools
 
 from liaison import modp
+from liaison.groebner import buchberger
 from liaison.ideals import Ideal, _exact_div
 from liaison.rings import Polynomial, mono_divides
 
@@ -133,3 +135,25 @@ def saturate_by_quotients(ideal, by):
         if nxt == current:
             return current
         current = nxt
+
+
+def affine_basis_by_dehomogenizing(ideal, coeffs):
+    """(affine ring, reduced basis) of ideal on the chart sum c_i x_i = 1.
+
+    x_j, for the last nonzero c_j, is solved for and substituted into every
+    generator; the inhomogeneous generators get one Buchberger run in the
+    degrevlex ring of the other variables.
+    """
+    ring = ideal.ring
+    p = ring.prime
+    j = max(i for i, c in enumerate(coeffs) if c % p)
+    aff = ring.with_variables(ring.variables[:j] + ring.variables[j + 1:])
+    # x_j = (1 - sum_{i != j} c_i x_i) / c_j
+    acc = aff.one()
+    for i, v in enumerate(ring.variables):
+        if i != j:
+            acc = acc - coeffs[i] * aff.variable(v)
+    assignment = {v: aff.variable(v) for v in aff.variables}
+    assignment[ring.variables[j]] = pow(coeffs[j], p - 2, p) * acc
+    return aff, buchberger([g.substitute(assignment, aff)
+                            for g in ideal.generators])

@@ -34,6 +34,17 @@ def test_hvector_ci(ci_file, capsys):
     assert out["prime"] == 32003 and out["seed"] == 0
 
 
+def test_hvector_negative_cm_test_is_inconclusive(tmp_path, capsys):
+    # a plane union a line is mixed, so not CM, but a negative randomized
+    # test proves nothing
+    path = write(tmp_path, "mixed.json", ideal_obj("xyzw", ["x*y", "y*w"]))
+    assert main(["hvector", path]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["cohen_macaulay"] == "inconclusive"
+    assert main(["hvector", path, "--format", "text"]) == EXIT_OK
+    assert "cohen_macaulay: inconclusive" in capsys.readouterr().out
+
+
 def test_unit_ideal_rejected(tmp_path, capsys):
     path = write(tmp_path, "unit.json", ideal_obj("xy", ["x", "y", "x"]))
     # saturating the irrelevant maximal ideal is the caller's business; a

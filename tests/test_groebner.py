@@ -1,9 +1,11 @@
 """Groebner engine tests: reduced bases, normal forms, external oracles."""
 
+import heapq
 import random
 
 import pytest
 
+from liaison import groebner
 from liaison.groebner import buchberger, normal_form
 from liaison.ideals import Ideal
 from liaison.rings import PolyRing
@@ -102,3 +104,26 @@ def test_membership_matches_linear_algebra(seed):
             continue
         assert ideal.contains(f) == membership_by_linear_algebra(
             f, gens, f.degree())
+
+
+def test_pair_queue_stays_a_heap(monkeypatch):
+    # the chain criterion filters the pair queue when a polynomial joins
+    # the basis; the filtered list must be a heap again before the next pop
+    pops = []
+
+    class CheckedHeapq:
+        heappush = staticmethod(heapq.heappush)
+        heapify = staticmethod(heapq.heapify)
+
+        @staticmethod
+        def heappop(heap):
+            if heap and len(heap[0]) == 5:      # the S-pair queue
+                pops.append(all(heap[(i - 1) // 2] <= heap[i]
+                                for i in range(1, len(heap))))
+            return heapq.heappop(heap)
+
+    monkeypatch.setattr(groebner, "heapq", CheckedHeapq)
+    texts = ["17245*x^3", "12783*y*z^2", "19752*y^2",
+             "13354*x*y + 11295*x*z + 24463*z^2", "21204*x^2*y + 10059*x*y^2"]
+    gb_strings(R3, texts)
+    assert pops and all(pops)

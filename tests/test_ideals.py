@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liaison import groebner, ideals
-from liaison.groebner import normal_form
-from liaison.ideals import Ideal
+from liaison.groebner import buchberger, normal_form
+from liaison.ideals import Ideal, normalize_point
+from liaison.lifting import lift_ideal, verify_lifting
 from liaison.rings import AlgebraError, PolyRing
 
-from .oracles import (ci_hilbert_numerator, hilbert_by_counting,
-                      quotient_by_elimination, random_homogeneous,
-                      saturate_by_quotients)
+from .oracles import (affine_basis_by_dehomogenizing, ci_hilbert_numerator,
+                      hilbert_by_counting, quotient_by_elimination,
+                      random_homogeneous, saturate_by_quotients)
 
 P = 32003
 R3 = PolyRing(("x", "y", "z"), P)
@@ -200,10 +201,14 @@ def test_degree_of_unit_ideal_rejected():
 
 def test_cm_test_accepts_aci_and_rejects_mixed():
     cubic = I4("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")
-    assert cubic.cm_test(seed=1)[0]
-    # a plane union a non-incident line is not ACM
+    ok, cert = cubic.cm_test(seed=1)
+    assert ok and cert["conclusive"]
+    # a plane union a non-incident line is not ACM; a random form can be a
+    # zerodivisor by chance, so the answer is not a proof
     mixed = I4("x0").intersect(I4("x1", "x2"))
-    assert not mixed.cm_test(seed=1)[0]
+    ok, cert = mixed.cm_test(seed=1)
+    assert not ok and not cert["conclusive"]
+    assert len(cert["attempts"]) == 3
 
 
 def test_reducedness_of_point_sets():
@@ -219,6 +224,86 @@ def test_reducedness_of_conjugate_points():
     # scheme is two reduced points, neither of them rational
     assert I3("x^2 + y^2", "z").is_reduced_zero_dim(seed=0)
     assert not I3("x^2", "z").is_reduced_zero_dim(seed=0)
+
+
+def _points_ideal(ring, points):
+    """The reduced scheme of the points: an intersection of 2x2 minors."""
+    out = None
+    for pt in points:
+        gens = [pt[i] * ring.gens()[j] - pt[j] * ring.gens()[i]
+                for i in range(ring.nvars) for j in range(i + 1, ring.nvars)]
+        q = Ideal(ring, [g for g in gens if g])
+        out = q if out is None else out.intersect(q)
+    return out
+
+
+def test_charts_skip_points_on_their_hyperplanes():
+    # one point on z = 0 and one on the first random chart's hyperplane:
+    # both charts miss a point, and the second random chart holds all three
+    seed = 0
+    charts = list(ideals._chart_forms(R3, seed))
+    a = charts[1][0]
+    pts = sorted(normalize_point(pt, P)
+                 for pt in ([1, 2, 0], [1, 0, -a], [3, 1, 5]))
+    assert [any(sum(c * x for c, x in zip(chart, pt)) % P == 0
+                for pt in pts) for chart in charts[:3]] == [True, True, False]
+    ideal = _points_ideal(R3, pts)
+    aff, gb, std, coords = ideal._affine_algebra(seed)
+    assert len(std) == 3
+    # z = 1 - a*x - b*y on the chart a*x + b*y + z = 1
+    assert coords["z"] == R3.with_variables(("x", "y")).parse(
+        "1 - %d*x - %d*y" % charts[2][:2])
+    assert ideal.rational_points(seed=seed) == pts
+    assert ideal.is_reduced_zero_dim(seed=seed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=small_seeds, on_last=st.booleans(), embedded=st.booleans())
+def test_chart_basis_matches_dehomogenized_generators(seed, on_last,
+                                                      embedded):
+    rng = random.Random(seed)
+    pts = {normalize_point([rng.randrange(1, P) for _ in range(3)], P)
+           for _ in range(rng.randrange(2, 5))}
+    if on_last:
+        pts.add(normalize_point([rng.randrange(1, P), 1, 0], P))
+    pts = sorted(pts)
+    ideal = _points_ideal(R3, pts)
+    if embedded:
+        # every chart form is then a zerodivisor
+        ideal = ideal * ideal.irrelevant_ideal()
+    aff, gb, std, _ = ideal._affine_algebra(seed)
+    assert len(std) == ideal.degree() == len(pts)
+    # the first chart form that vanishes at none of the points
+    chart = next(c for c in ideals._chart_forms(R3, seed)
+                 if all(sum(a * x for a, x in zip(c, pt)) % P for pt in pts))
+    assert (chart == (0, 0, 1)) != on_last
+    ref_aff, ref = affine_basis_by_dehomogenizing(ideal, chart)
+    assert ref_aff == aff
+    # a Groebner basis of the chart's ideal, reduced when the chart form is
+    # a nonzerodivisor
+    assert (gb if not embedded else buchberger(gb)) == ref
+    assert ideal.rational_points(seed=seed) == pts
+
+
+def test_lift_certificate_reuses_the_lift_basis(monkeypatch):
+    # t, the last variable, is regular on the lift: it starts the CM test,
+    # and t = 1 is a chart whose basis is the lift's own
+    calls = _counting_buchberger(monkeypatch)
+    spent = []
+    for name in ("cm_test", "_affine_algebra"):
+        real = getattr(Ideal, name)
+
+        def counted(self, *args, _real=real, _name=name, **kwargs):
+            before = len(calls)
+            out = _real(self, *args, **kwargs)
+            spent.append((_name, self.ring.nvars, len(calls) - before))
+            return out
+
+        monkeypatch.setattr(Ideal, name, counted)
+    ideal = I3("x^2", "y^3", "z^2", "x*y*z")
+    assert verify_lifting(ideal, lift_ideal(ideal))[0]
+    assert sorted(spent) == [("_affine_algebra", 4, 0), ("cm_test", 3, 0),
+                             ("cm_test", 4, 0)]
 
 
 def _zero_dim_algebra(seed):
@@ -386,3 +471,39 @@ def test_linear_colon_matches_elimination(seed):
         _check_cm_test_against_elimination(ideal, seed)
     assert not embedded.is_regular_element(
         rng.choice(_forms_of_each_kind(R3, rng)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=small_seeds)
+def test_quotient_by_a_member_is_the_unit_ideal(seed):
+    rng = random.Random(seed)
+    a = random_ideal(R3, rng)
+    top = max(2, a.max_gen_degree()) + rng.randrange(2)
+    f = sum((random_homogeneous(R3, top - g.degree(), rng) * g
+             for g in a.generators), R3.zero())
+    if not f:
+        return
+    q = a.quotient(f)
+    assert q.is_unit()
+    assert q == quotient_by_elimination(a, f)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=small_seeds)
+def test_cm_test_starts_with_the_last_variable_when_regular(seed):
+    # a random ideal, and the same met with a point on z = 0, on which z is
+    # a zerodivisor (the point is the annihilator of an element of the
+    # ideal outside it), so every form is drawn at random
+    rng = random.Random(seed)
+    a = random_ideal(R3, rng, max_deg=2)
+    point = I3("z", str(R3.linear_form([rng.randrange(1, P), 1, 0])))
+    z = R3.parse("z")
+    for ideal in (a, a.intersect(point)):
+        regular = quotient_by_elimination(ideal, z) == ideal
+        if ideal is not a and not point.contains_ideal(a):
+            assert not regular
+        ok, cert = ideal.cm_test(seed=seed)
+        if cert["attempts"]:
+            assert (cert["attempts"][0]["forms"][0] == "z") == regular
+        assert cert["conclusive"] == ok
+        _check_cm_test_against_elimination(ideal, seed)
