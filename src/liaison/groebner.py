@@ -1,14 +1,25 @@
-"""Buchberger Groebner engine with full reduction.
+"""Buchberger Groebner engine with full reduction, and Hilbert numerators.
 
 Works on the dict representation from :mod:`liaison.rings`.  Pair handling
 uses the product (coprimality) criterion and the chain criterion, with a
 degree-by-degree (normal strategy) pair queue, so homogeneous inputs are
 processed degreewise.
+
+A caller that knows the Hilbert numerator of the ideal spanned by
+homogeneous generators may pass it (Traverso, J. Symbolic Comput. 22,
+1996).  Once every pair below degree d is done, the basis G is complete
+in degree d exactly when dim (R/in(G))_d equals the known value, and the
+remaining pairs of degree d are dropped unreduced.  The numerator of in(G)
+is recomputed only after G grows.  The hint must be exact, and it is
+refused for inhomogeneous generators, whose reductions do not stay in one
+degree.  Numerators of monomial ideals come from the pivot-variable
+recursion below, which :mod:`liaison.ideals` shares.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 from .rings import (
     AlgebraError,
@@ -19,6 +30,93 @@ from .rings import (
     mono_mul,
 )
 
+
+# ---------------------------------------------------------------------------
+# Hilbert numerator of a monomial ideal (pivot-variable recursion)
+
+def _minimalize(gens):
+    out = []
+    for g in sorted(set(gens), key=sum):
+        if not any(all(x <= y for x, y in zip(h, g)) for h in out):
+            out.append(g)
+    return out
+
+
+def _num_add(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+            for i in range(n)]
+
+
+def _num_shift(a, k):
+    return [0] * k + list(a)
+
+
+def _num_mul_one_minus_zd(a, d):
+    out = list(a) + [0] * d
+    for i, c in enumerate(a):
+        out[i + d] -= c
+    return out
+
+
+def monomial_hilbert_numerator(gens, nvars):
+    """Numerator N(z) with Series = N(z)/(1-z)^nvars, as an int list."""
+    gens = _minimalize(tuple(g) for g in gens)
+    memo = {}
+
+    def rec(gs):
+        key = frozenset(gs)
+        if key in memo:
+            return memo[key]
+        if not gs:
+            res = [1]
+        elif any(sum(g) == 0 for g in gs):
+            res = [0]
+        else:
+            coprime = True
+            for i in range(len(gs)):
+                for j in range(i + 1, len(gs)):
+                    if any(min(x, y) for x, y in zip(gs[i], gs[j])):
+                        coprime = False
+                        break
+                if not coprime:
+                    break
+            if coprime:
+                res = [1]
+                for g in gs:
+                    res = _num_mul_one_minus_zd(res, sum(g))
+            else:
+                counts = [0] * nvars
+                for g in gs:
+                    for i, e in enumerate(g):
+                        if e:
+                            counts[i] += 1
+                v = counts.index(max(counts))
+                pivot = tuple(1 if i == v else 0 for i in range(nvars))
+                plus = _minimalize([g for g in gs if g[v] == 0] + [pivot])
+                quot = _minimalize([tuple(e - 1 if i == v and e else e
+                                          for i, e in enumerate(g))
+                                    for g in gs])
+                res = _num_add(rec(tuple(plus)), _num_shift(rec(tuple(quot)), 1))
+        memo[key] = res
+        return res
+
+    out = rec(tuple(gens))
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def hilbert_function_from_numerator(numerator, nvars, d):
+    """dim_K (R/I)_d, for Series(R/I) = N(z)/(1-z)^nvars."""
+    if d < 0:
+        return 0
+    return sum(c * math.comb(d - i + nvars - 1, nvars - 1)
+               for i, c in enumerate(numerator) if i <= d)
+
+
+# ---------------------------------------------------------------------------
+# normal forms and Buchberger
 
 def _reduce_dict(f, basis, ring):
     """Full normal form of dict `f` against [(lt, terms)] monic `basis`.
@@ -100,14 +198,28 @@ def normal_forms(polys, reducers):
     if not polys:
         return []
     ring = polys[0].ring
-    for g in polys + list(reducers):
+    for g in polys:
+        if g.ring != ring:
+            raise AlgebraError("polynomials and reducers must share a ring")
+    return list(map(reducer(reducers, ring), polys))
+
+
+def reducer(reducers, ring):
+    """The map f -> normal_form(f, reducers) on `ring`, with the reducers
+    prepared once, for normal forms that are not known in advance."""
+    for g in reducers:
         if g.ring != ring:
             raise AlgebraError("polynomials and reducers must share a ring")
     basis = _make_basis([g.terms for g in reducers if g], ring)
-    if not basis:
-        return polys
-    return [Polynomial(ring, _reduce_dict(f.terms, basis, ring)) if f else f
-            for f in polys]
+
+    def nf(f):
+        if f.ring != ring:
+            raise AlgebraError("polynomials and reducers must share a ring")
+        if not basis or not f:
+            return f
+        return Polynomial(ring, _reduce_dict(f.terms, basis, ring))
+
+    return nf
 
 
 def _spoly_data(gi, gj, ring):
@@ -134,12 +246,16 @@ def _spoly_data(gi, gj, ring):
     return {m: c for m, c in out.items() if c}
 
 
-def buchberger(generators):
+def buchberger(generators, numerator=None):
     """The unique reduced Groebner basis of the generated ideal.
 
     Zero generators are dropped; the empty ideal yields [].  Output
     polynomials are monic, fully auto-reduced, and sorted by increasing
-    leading monomial.
+    leading monomial.  `numerator`, when given, is the Hilbert numerator
+    of the ideal (Series(R/I) = N(z)/(1-z)^nvars) and the generators must
+    be homogeneous: the pairs of a degree whose part of the basis is
+    already complete are then dropped unreduced (see the module notes).
+    A wrong numerator gives a wrong basis.
     """
     gens = [g for g in generators if g]
     if not gens:
@@ -148,7 +264,10 @@ def buchberger(generators):
     for g in gens:
         if g.ring != ring:
             raise AlgebraError("generators must share one ring")
+    if numerator is not None and not all(g.is_homogeneous() for g in gens):
+        raise AlgebraError("a Hilbert numerator needs homogeneous generators")
     key = ring.order.key
+    n = ring.nvars
 
     G = []          # list of monic dicts
     lts = []        # leading monomials, parallel to G
@@ -195,7 +314,18 @@ def buchberger(generators):
     for g in sorted(gens, key=lambda g: key(g.leading_monomial())):
         add_poly(dict(g.terms))
 
+    g_num = None    # Hilbert numerator of in(G); None once G has grown
     while pairs:
+        d = pairs[0][0]
+        if numerator is not None:
+            if g_num is None:
+                g_num = monomial_hilbert_numerator(lts, n)
+            if (hilbert_function_from_numerator(g_num, n, d)
+                    == hilbert_function_from_numerator(numerator, n, d)):
+                # G is complete in degree d: its pairs reduce to zero
+                while pairs and pairs[0][0] == d:
+                    heapq.heappop(pairs)
+                continue
         _, _, i, j, lcm = heapq.heappop(pairs)
         # chain criterion at selection time
         skip = False
@@ -215,6 +345,7 @@ def buchberger(generators):
         r = _reduce_dict(s, tails, ring)
         if r:
             add_poly(r)
+            g_num = None
 
     return _interreduce(G, ring)
 

@@ -12,7 +12,9 @@ import random
 from dataclasses import dataclass, field
 
 from . import modp
-from .groebner import buchberger, normal_form, normal_forms
+from .groebner import (buchberger, hilbert_function_from_numerator,
+                       monomial_hilbert_numerator, normal_form, normal_forms,
+                       reducer)
 from .rings import (AlgebraError, RingMismatchError, DEGREVLEX, MonomialOrder,
                     Polynomial, PolyRing, mono_div, mono_divides)
 
@@ -50,15 +52,6 @@ class HVector:
     def to_json(self):
         return list(self.entries)
 
-    def table(self):
-        """Two-row aligned text table: degree row over value row."""
-        degs = [str(i) for i in range(len(self.entries))]
-        vals = [str(v) for v in self.entries]
-        widths = [max(len(a), len(b)) for a, b in zip(degs, vals)]
-        row1 = "  ".join(d.rjust(w) for d, w in zip(degs, widths))
-        row2 = "  ".join(v.rjust(w) for v, w in zip(vals, widths))
-        return "deg       %s\nh-vector  %s" % (row1, row2)
-
     def __str__(self):
         return "(%s)" % ", ".join(str(v) for v in self.entries)
 
@@ -67,82 +60,6 @@ def binom(n, k):
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-# ---------------------------------------------------------------------------
-# Hilbert numerator of a monomial ideal (pivot-variable recursion)
-
-def _minimalize(gens):
-    out = []
-    for g in sorted(set(gens), key=sum):
-        if not any(all(x <= y for x, y in zip(h, g)) for h in out):
-            out.append(g)
-    return out
-
-
-def _num_add(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)]
-
-
-def _num_shift(a, k):
-    return [0] * k + list(a)
-
-
-def _num_mul_one_minus_zd(a, d):
-    out = list(a) + [0] * d
-    for i, c in enumerate(a):
-        out[i + d] -= c
-    return out
-
-
-def monomial_hilbert_numerator(gens, nvars):
-    """Numerator N(z) with Series = N(z)/(1-z)^nvars, as an int list."""
-    gens = _minimalize(tuple(g) for g in gens)
-    memo = {}
-
-    def rec(gs):
-        key = frozenset(gs)
-        if key in memo:
-            return memo[key]
-        if not gs:
-            res = [1]
-        elif any(sum(g) == 0 for g in gs):
-            res = [0]
-        else:
-            coprime = True
-            for i in range(len(gs)):
-                for j in range(i + 1, len(gs)):
-                    if any(min(x, y) for x, y in zip(gs[i], gs[j])):
-                        coprime = False
-                        break
-                if not coprime:
-                    break
-            if coprime:
-                res = [1]
-                for g in gs:
-                    res = _num_mul_one_minus_zd(res, sum(g))
-            else:
-                counts = [0] * nvars
-                for g in gs:
-                    for i, e in enumerate(g):
-                        if e:
-                            counts[i] += 1
-                v = counts.index(max(counts))
-                pivot = tuple(1 if i == v else 0 for i in range(nvars))
-                plus = _minimalize([g for g in gs if g[v] == 0] + [pivot])
-                quot = _minimalize([tuple(e - 1 if i == v and e else e
-                                          for i, e in enumerate(g))
-                                    for g in gs])
-                res = _num_add(rec(tuple(plus)), _num_shift(rec(tuple(quot)), 1))
-        memo[key] = res
-        return res
-
-    out = rec(tuple(gens))
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _strip_one_minus_z(num):
@@ -197,8 +114,11 @@ class Ideal:
     # -- basics --------------------------------------------------------------
 
     def groebner_basis(self):
+        """The reduced Groebner basis, computed once.  A linear colon
+        (`_colon_linear`) knows its Hilbert numerator beforehand, and the
+        computation is then Hilbert-driven."""
         if self._gb is None:
-            self._gb = tuple(buchberger(self.generators))
+            self._gb = tuple(buchberger(self.generators, self._numerator))
         return self._gb
 
     def is_zero(self):
@@ -359,7 +279,10 @@ class Ideal:
         divisible by exactly x^k, is a Groebner basis of I : x^cap.  The
         basis is reduced, so it strips nothing exactly when I : ell = I, and
         then self itself is returned.  Results are kept per ideal, keyed by
-        ell up to a scalar and by cap.
+        ell up to a scalar and by cap.  A new result carries the Hilbert
+        numerator of the stripped leading terms, since a linear change of
+        coordinates keeps the Hilbert function, so its own basis is
+        computed Hilbert-driven.
         """
         ring = self.ring
         if ell.ring != ring:
@@ -387,12 +310,16 @@ class Ideal:
             stripped.append(g)
         if all(g is h for g, h in zip(stripped, gb)):
             out = self
-        elif len(ell.terms) == 1:
-            out = Ideal(ring, [g.map_to(ring) for g in stripped])
         else:
-            x = work.variables[-1]
-            out = Ideal(ring, [g.substitute({x: ell}, ring)
-                               for g in stripped])
+            if len(ell.terms) == 1:
+                out = Ideal(ring, [g.map_to(ring) for g in stripped])
+            else:
+                x = work.variables[-1]
+                out = Ideal(ring, [g.substitute({x: ell}, ring)
+                                   for g in stripped])
+            # a linear change of coordinates keeps the Hilbert function
+            out._numerator = tuple(monomial_hilbert_numerator(
+                [g.leading_monomial() for g in stripped], ring.nvars))
         self._colons[key] = None if out is self else out
         return out
 
@@ -411,14 +338,16 @@ class Ideal:
         work = ring.with_variables(
             tuple(v for v in ring.variables if v != x) + (x,))
         if len(ell.terms) == 1 and work == ring:
-            gb = self.groebner_basis()
-        elif len(ell.terms) == 1:
-            gb = buchberger([g.map_to(work) for g in self.generators])
+            return ell, work, self.groebner_basis()
+        if len(ell.terms) == 1:
+            image = [g.map_to(work) for g in self.generators]
         else:
             xw = work.variable(x)
-            image = xw + xw - ell.map_to(work)
-            gb = buchberger([g.substitute({x: image}, work)
-                             for g in self.generators])
+            xw = xw + xw - ell.map_to(work)
+            image = [g.substitute({x: xw}, work) for g in self.generators]
+        # the numerator is free once the basis of I is known
+        known = self._numerator is not None or self._gb is not None
+        gb = buchberger(image, self.hilbert_numerator() if known else None)
         return ell, work, gb
 
     def irrelevant_ideal(self):
@@ -459,12 +388,8 @@ class Ideal:
 
     def hilbert_function(self, d):
         """dim_K (R/I)_d."""
-        if d < 0:
-            return 0
-        n = self.ring.nvars
-        num = self.hilbert_numerator()
-        return sum(c * binom(d - i + n - 1, n - 1)
-                   for i, c in enumerate(num) if i <= d)
+        return hilbert_function_from_numerator(self.hilbert_numerator(),
+                                               self.ring.nvars, d)
 
     def _dim_degree(self):
         if self._dim_deg is None:
@@ -588,25 +513,19 @@ class Ideal:
     def is_reduced_zero_dim(self, seed=0):
         """Radical test for zero-dimensional subschemes of projective space.
 
-        True when a random linear multiplier on the affine algebra of a
-        chart that holds every point (`_affine_algebra`), of dimension deg,
-        has a squarefree characteristic polynomial.  That is sufficient:
-        over the algebraic closure the multiplier then takes deg distinct
-        values, one on each local factor, so every local factor has length
-        one and the scheme is reduced, whether or not its points are
-        rational over GF(p).  False after two random multipliers fail.
+        Seidenberg's lemma (Kreuzer-Robbiano, Computational Commutative
+        Algebra 1, Prop. 3.7.15; GF(p) is perfect): on a chart that holds
+        every point (`_affine_algebra`), the affine ideal is radical exactly
+        when the minimal polynomial of each affine variable on the affine
+        algebra is squarefree.  Both answers are proofs, whether or not the
+        points are rational over GF(p); `seed` only picks the chart.
         """
         if self.krull_dim() != 1:
             raise AlgebraError("is_reduced_zero_dim needs dim(R/I) = 1")
-        aff, gb, std, _ = self._affine_algebra(seed)
-        for attempt in range(2):
-            rng = random.Random("red:%d:%d" % (seed, attempt))
-            lam = _random_linear_form(aff, rng)
-            M = _mult_matrix(lam, gb, std, aff)
-            chi = modp.charpoly(M, aff.prime)
-            if modp.is_squarefree(chi, aff.prime):
-                return True
-        return False
+        aff, gb, _, _ = self._affine_algebra(seed)
+        nf = reducer(gb, aff)
+        return all(modp.is_squarefree(_minimal_polynomial(x, nf), aff.prime)
+                   for x in aff.gens())
 
     def rational_points(self, seed=0):
         """Support points of a reduced zero-dimensional scheme.
@@ -826,6 +745,44 @@ def _standard_monomials(gb, ring, max_dim):
                 queue.append(m2)
     out.sort(key=ring.order.key)
     return out
+
+
+def _minimal_polynomial(x, nf):
+    """Minimal polynomial of x on a finite-dimensional affine algebra, as a
+    monic coefficient list, lowest degree first.
+
+    `nf` is the normal form map of a Groebner basis of the algebra's ideal.
+    The powers NF(x^k) = NF(x * NF(x^(k-1))) are eliminated against the
+    earlier ones as they come; the first that reduces to zero gives the
+    relation.
+    """
+    p = x.ring.prime
+    rows = []                   # (pivot, row with pivot 1, its combination)
+    power = nf(x.ring.one())
+    k = 0
+    while True:
+        vec = dict(power.terms)
+        comb = [0] * k + [1]    # vec = sum comb[i] * NF(x^i)
+        for pivot, row, rcomb in rows:
+            c = vec.get(pivot)
+            if not c:
+                continue
+            for m, a in row.items():
+                v = (vec.get(m, 0) - c * a) % p
+                if v:
+                    vec[m] = v
+                else:
+                    vec.pop(m, None)
+            for i, a in enumerate(rcomb):
+                comb[i] = (comb[i] - c * a) % p
+        if not vec:
+            return comb
+        pivot = next(iter(vec))
+        inv = pow(vec[pivot], p - 2, p)
+        rows.append((pivot, {m: v * inv % p for m, v in vec.items()},
+                     [c * inv % p for c in comb]))
+        power = nf(power * x)
+        k += 1
 
 
 def _mult_matrix(g, gb, std, ring):

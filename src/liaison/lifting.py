@@ -80,7 +80,11 @@ def verify_lifting(ideal, lifted=None, var="t", bound=None, seed=0):
     modulo the lift (J : t = J); (J, t) equals (I S, t); the Hilbert
     functions of S/(J, t) and R/I agree up to the bound; the lift is
     Cohen-Macaulay exactly when the input is; and a one-dimensional lift
-    (points) is reduced.  Returns (ok, certificate dict).
+    (points) is reduced.  The CM clause is derived, not tested: with t
+    regular on S/J and S/(J, t) = R/I, S/J has the depth and dimension of
+    R/I plus one, so S/J is CM exactly when R/I is.  So the CM test runs
+    on the input only, and "cm_lifted" repeats its answer when the clause
+    holds (None when it does not).  Returns (ok, certificate dict).
     """
     if lifted is None:
         lifted = lift_ideal(ideal, var)
@@ -107,10 +111,10 @@ def verify_lifting(ideal, lifted=None, var="t", bound=None, seed=0):
         for d in range(bound + 1))
 
     cm_in, _ = ideal.cm_test(seed=seed)
-    cm_out, _ = lifted.cm_test(seed=seed)
+    derived = cert["t_regular"] and cert["plus_t_matches"]
     cert["cm_input"] = cm_in
-    cert["cm_lifted"] = cm_out
-    cert["cm_matches_input"] = cm_in == cm_out
+    cert["cm_lifted"] = cm_in if derived else None
+    cert["cm_matches_input"] = derived
 
     if lifted.krull_dim() == 1:
         cert["points_reduced"] = lifted.is_reduced_zero_dim(seed=seed)

@@ -102,10 +102,6 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 class MonomialOrder:
     """Total multiplicative well-order on exponent tuples.
 

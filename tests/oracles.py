@@ -4,15 +4,19 @@ Everything here takes a different route from the code under test:
 membership by degree-truncated linear algebra, Hilbert functions by
 monomial counting, sympy as an external basis oracle, quotients through an
 elimination basis, saturation as an iterated quotient, instead of one
-stripped Groebner basis, and the affine chart of a scheme by Buchberger on
-the dehomogenized generators, instead of the dehomogenized projective basis.
+stripped Groebner basis, the affine chart of a scheme by Buchberger on
+the dehomogenized generators, instead of the dehomogenized projective basis,
+and reducedness by the characteristic polynomial of a random multiplier,
+instead of the minimal polynomials of the coordinates.
 """
 
 import itertools
+import random
 
 from liaison import modp
 from liaison.groebner import buchberger
-from liaison.ideals import Ideal, _exact_div
+from liaison.ideals import (Ideal, _exact_div, _mult_matrix,
+                            _random_linear_form)
 from liaison.rings import Polynomial, mono_divides
 
 
@@ -157,3 +161,19 @@ def affine_basis_by_dehomogenizing(ideal, coeffs):
     assignment[ring.variables[j]] = pow(coeffs[j], p - 2, p) * acc
     return aff, buchberger([g.substitute(assignment, aff)
                             for g in ideal.generators])
+
+
+def reduced_by_charpoly(ideal, seed):
+    """Reducedness of a zero-dimensional scheme, one-sided: True when a
+    random linear multiplier on the chart `_affine_algebra(seed)` picks has
+    a squarefree characteristic polynomial of degree deg(I), which proves
+    the scheme reduced; False after two multipliers fail, which proves
+    nothing, since a multiplier may take one value at two points."""
+    aff, gb, std, _ = ideal._affine_algebra(seed)
+    for attempt in range(2):
+        rng = random.Random("red:%d:%d" % (seed, attempt))
+        lam = _random_linear_form(aff, rng)
+        chi = modp.charpoly(_mult_matrix(lam, gb, std, aff), aff.prime)
+        if modp.is_squarefree(chi, aff.prime):
+            return True
+    return False

@@ -1,20 +1,23 @@
 """Ideal toolbox tests: operations, Hilbert data, zero-dimensional tools."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liaison import groebner, ideals
-from liaison.groebner import buchberger, normal_form
+from liaison import groebner, ideals, modp
+from liaison.groebner import (buchberger, monomial_hilbert_numerator,
+                              normal_form)
 from liaison.ideals import Ideal, normalize_point
 from liaison.lifting import lift_ideal, verify_lifting
 from liaison.rings import AlgebraError, PolyRing
 
 from .oracles import (affine_basis_by_dehomogenizing, ci_hilbert_numerator,
                       hilbert_by_counting, quotient_by_elimination,
-                      random_homogeneous, saturate_by_quotients)
+                      random_homogeneous, reduced_by_charpoly,
+                      saturate_by_quotients)
 
 P = 32003
 R3 = PolyRing(("x", "y", "z"), P)
@@ -80,9 +83,9 @@ def _counting_buchberger(monkeypatch):
     calls = []
     real = ideals.buchberger
 
-    def counting(gens):
+    def counting(gens, numerator=None):
         calls.append(1)
-        return real(gens)
+        return real(gens, numerator)
 
     monkeypatch.setattr(ideals, "buchberger", counting)
     return calls
@@ -226,6 +229,45 @@ def test_reducedness_of_conjugate_points():
     assert not I3("x^2", "z").is_reduced_zero_dim(seed=0)
 
 
+@pytest.mark.parametrize("texts", [("y", "x^2"), ("x", "y^2")])
+def test_reducedness_sees_a_double_point_in_one_coordinate(texts):
+    # on the chart z = 1 the tangent of the double point is a coordinate
+    # axis: only one coordinate's minimal polynomial is a square
+    fat = I3(*texts)
+    (aff, gb, _, _) = fat._affine_algebra(0)
+    nf = groebner.reducer(gb, aff)
+    mus = [ideals._minimal_polynomial(x, nf) for x in aff.gens()]
+    assert sorted(mus) == [[0, 0, 1], [0, 1]]
+    assert not fat.is_reduced_zero_dim(seed=0)
+    assert not reduced_by_charpoly(fat, 0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=small_seeds, kind=st.sampled_from(["reduced", "fat", "conjugate"]))
+def test_reducedness_matches_charpoly_oracle(seed, kind):
+    # random points, with a double point, or with two conjugate points; the
+    # oracle's True is a proof, its False is not
+    rng = random.Random(seed)
+    pts = sorted({normalize_point([rng.randrange(P) for _ in range(2)]
+                                  + [1], P) for _ in range(rng.randrange(1, 4))})
+    ideal = _points_ideal(R3, pts)
+    if kind == "fat":
+        # a double point at the first point, in a random direction
+        ell, tangent = (ideals._random_form_through(R3, pts[0], rng)
+                        for _ in range(2))
+        double = Ideal(R3, [ell, tangent * tangent])
+        if double.krull_dim() != 1:
+            return
+        ideal = ideal.intersect(double)
+    elif kind == "conjugate":
+        # x^2 + y^2 has no root mod 32003, which is 3 mod 4
+        ideal = ideal.intersect(I3("x^2 + y^2", "x + y + z"))
+    reduced = ideal.is_reduced_zero_dim(seed=seed)
+    assert reduced == (kind != "fat")
+    if reduced_by_charpoly(ideal, seed):
+        assert reduced
+
+
 def _points_ideal(ring, points):
     """The reduced scheme of the points: an intersection of 2x2 minors."""
     out = None
@@ -286,8 +328,8 @@ def test_chart_basis_matches_dehomogenized_generators(seed, on_last,
 
 
 def test_lift_certificate_reuses_the_lift_basis(monkeypatch):
-    # t, the last variable, is regular on the lift: it starts the CM test,
-    # and t = 1 is a chart whose basis is the lift's own
+    # t, the last variable, is regular on the lift, so t = 1 is a chart
+    # whose basis is the lift's own; the CM test runs on the input only
     calls = _counting_buchberger(monkeypatch)
     spent = []
     for name in ("cm_test", "_affine_algebra"):
@@ -302,8 +344,7 @@ def test_lift_certificate_reuses_the_lift_basis(monkeypatch):
         monkeypatch.setattr(Ideal, name, counted)
     ideal = I3("x^2", "y^3", "z^2", "x*y*z")
     assert verify_lifting(ideal, lift_ideal(ideal))[0]
-    assert sorted(spent) == [("_affine_algebra", 4, 0), ("cm_test", 3, 0),
-                             ("cm_test", 4, 0)]
+    assert sorted(spent) == [("_affine_algebra", 4, 0), ("cm_test", 3, 0)]
 
 
 def _zero_dim_algebra(seed):
@@ -507,3 +548,88 @@ def test_cm_test_starts_with_the_last_variable_when_regular(seed):
             assert (cert["attempts"][0]["forms"][0] == "z") == regular
         assert cert["conclusive"] == ok
         _check_cm_test_against_elimination(ideal, seed)
+
+
+# -- Hilbert-driven bases ---------------------------------------------------
+
+def _normalized_coeffs(ell):
+    """Coefficients of a linear form scaled so the last nonzero one is 1."""
+    coeffs = [0] * ell.ring.nvars
+    for m, c in ell.terms.items():
+        coeffs[m.index(1)] = c
+    inv = pow(next(c for c in reversed(coeffs) if c), P - 2, P)
+    return tuple(c * inv % P for c in coeffs)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=small_seeds)
+def test_hinted_bases_match_unhinted(seed):
+    # a random ideal, and the same times m: its basis with each kind of form
+    # last, hinted by its cached basis, and each linear colon (cap 1 and
+    # infinity), whose basis is hinted by the colon's own numerator, against
+    # the same computations on fresh ideals that know no numerator
+    rng = random.Random(seed)
+    a = random_ideal(R3, rng, max_deg=2)
+    if a.is_zero():
+        return
+    for ideal in (a, a * a.irrelevant_ideal()):
+        ideal.groebner_basis()
+        for ell in _forms_of_each_kind(R3, rng):
+            coeffs = _normalized_coeffs(ell)
+            fresh = Ideal(R3, ideal.generators)
+            assert ideal._basis_with_last(coeffs) == fresh._basis_with_last(
+                coeffs)
+            for cap in (1, math.inf):
+                q = ideal._colon_linear(ell, cap)
+                if q is ideal:
+                    continue
+                assert q._gb is None and q._numerator is not None
+                other = _normalized_coeffs(rng.choice(
+                    _forms_of_each_kind(R3, rng)))
+                assert q._basis_with_last(other) == Ideal(
+                    R3, q.generators)._basis_with_last(other)
+                gb = q.groebner_basis()
+                assert gb == tuple(buchberger(q.generators))
+                assert q.hilbert_numerator() == tuple(
+                    monomial_hilbert_numerator(
+                        [g.leading_monomial() for g in gb], R3.nvars))
+
+
+def test_hinted_colon_basis_reduces_fewer_pairs(monkeypatch):
+    # the colon of the twisted cubic times m by a general form is the cubic;
+    # mapped back to the original coordinates, its basis knows when it is
+    # complete
+    spolys = []
+    real = groebner._spoly_data
+
+    def counting(gi, gj, ring):
+        spolys.append(1)
+        return real(gi, gj, ring)
+
+    monkeypatch.setattr(groebner, "_spoly_data", counting)
+    cubic = I4("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")
+    embedded = cubic * cubic.irrelevant_ideal()
+    q = embedded._colon_linear(R4.parse("x0 + 2*x1 + 3*x2 + 5*x3"), 1)
+    spolys.clear()
+    hinted = q.groebner_basis()
+    n_hinted = len(spolys)
+    spolys.clear()
+    unhinted = tuple(buchberger(q.generators))
+    assert n_hinted < len(spolys)
+    assert hinted == unhinted == cubic.groebner_basis()
+
+
+def test_hint_needs_homogeneous_generators():
+    with pytest.raises(AlgebraError):
+        buchberger([R3.parse("x^2 - y"), R3.parse("y*z")], (1, 0, -1))
+
+
+def test_reducedness_computes_no_characteristic_polynomial(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("not on the reducedness route")
+
+    monkeypatch.setattr(modp, "charpoly", forbidden)
+    monkeypatch.setattr(ideals, "_mult_matrix", forbidden)
+    lifted = lift_ideal(I3("x^3", "y^2", "z^2"))
+    assert lifted.is_reduced_zero_dim(seed=0)
+    assert not I3("y", "x^2").is_reduced_zero_dim(seed=0)

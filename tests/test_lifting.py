@@ -10,6 +10,8 @@ from liaison.lifting import (lift_ideal, lift_monomial,
                              minimal_monomial_generators, verify_lifting)
 from liaison.rings import AlgebraError, PolyRing
 
+from .oracles import reduced_by_charpoly
+
 P = 32003
 R2 = PolyRing(("x", "y"), P)
 R3 = PolyRing(("x", "y", "z"), P)
@@ -75,6 +77,40 @@ def test_verify_lifting_reports_non_cm_input():
     assert not cert["cm_input"]
     assert not cert["cm_lifted"]
     assert cert["cm_matches_input"]
+
+
+def test_cm_clause_is_derived_from_the_section_by_t(monkeypatch):
+    # t is a zerodivisor on J = (x^2, x*y, y^2, x*t), though (J, t) = (I, t):
+    # nothing carries the CM status of R/I over to S/J
+    tested = []
+    real = Ideal.cm_test
+
+    def counted(self, seed=0):
+        tested.append(self.ring.nvars)
+        return real(self, seed=seed)
+
+    monkeypatch.setattr(Ideal, "cm_test", counted)
+    ideal = Ideal.from_strings(R2, ["x^2", "x*y", "y^2"])
+    bad = Ideal.from_strings(R2.extend("t"), ["x^2", "x*y", "y^2", "x*t"])
+    ok, cert = verify_lifting(ideal, bad)
+    assert not ok
+    assert not cert["t_regular"] and cert["plus_t_matches"]
+    assert cert["cm_input"] and cert["cm_lifted"] is None
+    assert not cert["cm_matches_input"]
+    ok, cert = verify_lifting(ideal)
+    assert ok and cert["cm_input"] and cert["cm_lifted"]
+    assert tested == [2, 2]         # the input's test, once per certificate
+
+
+def test_lift_reducedness_needs_no_lucky_multiplier():
+    # (x^10, y^10) lifts to the 10 x 10 grid of points; at seed 118751 both
+    # random multipliers of the characteristic-polynomial test take one
+    # value at two grid points, so that test answers "not reduced"
+    ideal = Ideal.from_strings(R2, ["x^10", "y^10"])
+    lifted = lift_ideal(ideal)
+    assert not reduced_by_charpoly(lifted, 118751)
+    ok, cert = verify_lifting(ideal, lifted, seed=118751)
+    assert ok and cert["points_reduced"] and cert["point_count"] == 100
 
 
 @pytest.mark.parametrize("seed", range(4))

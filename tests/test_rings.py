@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liaison.rings import (DEGREVLEX, AlgebraError, MonomialOrder, PolyRing,
-                           PrimeField, mono_divides, mono_div, mono_gcd,
-                           mono_lcm, mono_mul)
+                           PrimeField, mono_divides, mono_div, mono_mul)
 
 P = 32003
 FIELD = PrimeField(P)
@@ -47,11 +46,6 @@ def test_field_subtraction_consistent(a, b):
 @given(a=exponents, b=exponents)
 def test_mono_mul_then_div(a, b):
     assert mono_div(mono_mul(a, b), b) == a
-
-
-@given(a=exponents, b=exponents)
-def test_mono_gcd_lcm_product(a, b):
-    assert mono_mul(mono_gcd(a, b), mono_lcm(a, b)) == mono_mul(a, b)
 
 
 @given(a=exponents, b=exponents)
