@@ -197,11 +197,7 @@ def normal_forms(polys, reducers):
     polys = list(polys)
     if not polys:
         return []
-    ring = polys[0].ring
-    for g in polys:
-        if g.ring != ring:
-            raise AlgebraError("polynomials and reducers must share a ring")
-    return list(map(reducer(reducers, ring), polys))
+    return list(map(reducer(reducers, polys[0].ring), polys))
 
 
 def reducer(reducers, ring):
