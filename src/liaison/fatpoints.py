@@ -148,17 +148,6 @@ def fat_point_ideal(ring, point, k):
     return Ideal(ring, gens)
 
 
-def union_ideal(ring, scheme):
-    """Intersection of the fat point ideals; saturated by construction."""
-    if not scheme.points:
-        raise AlgebraError("empty scheme has no defining ideal")
-    out = None
-    for pt, m in scheme.points:
-        piece = fat_point_ideal(ring, pt, m)
-        out = piece if out is None else out.intersect(piece)
-    return out
-
-
 def general_forms_through(ring, point, count, seed, avoid=()):
     """Seeded random linear forms vanishing at the point.
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 from . import modp
 from .groebner import (buchberger, hilbert_function_from_numerator,
-                       monomial_hilbert_numerator, normal_form, normal_forms,
-                       reducer)
+                       monomial_hilbert_numerator, normal_forms, reducer)
 from .rings import (AlgebraError, RingMismatchError, DEGREVLEX, MonomialOrder,
                     Polynomial, PolyRing, mono_div, mono_divides)
 
@@ -87,7 +86,17 @@ def _strip_one_minus_z(num):
 
 
 class Ideal:
-    """Homogeneous ideal with cached reduced GB and numeric invariants."""
+    """Homogeneous ideal with cached Groebner data and numeric invariants.
+
+    An ideal computes its reduced degrevlex basis at most once, and keeps
+    the latest basis it computed in coordinates with a linear form last
+    (`_basis_with_last`).  That basis also fixes the Hilbert numerator, since
+    a linear change of coordinates keeps the Hilbert function.  Yes/no
+    questions are answered from what is in hand, and every answer is exact:
+    zero and unit from the generators (`is_unit`), membership from either
+    basis (`contains`), and equality from one containment and the Hilbert
+    numerators (`__eq__`).
+    """
 
     def __init__(self, ring, generators, _gb=None):
         gens = []
@@ -106,6 +115,9 @@ class Ideal:
         self._numerator = None
         self._dim_deg = None
         self._colons = None
+        # (coeffs, work ring, image map, basis): the latest basis with a
+        # linear form last, see `_basis_with_last`
+        self._shifted = None
 
     @classmethod
     def from_strings(cls, ring, texts):
@@ -122,30 +134,90 @@ class Ideal:
         return self._gb
 
     def is_zero(self):
-        return not self.groebner_basis()
+        """True for the zero ideal: zero generators are dropped on entry."""
+        return not self.generators
 
     def is_unit(self):
-        gb = self.groebner_basis()
-        return bool(gb) and gb[0].is_constant()
+        """True for the unit ideal, read off the generators.
+
+        The degree-0 part of a homogeneous ideal is spanned by its degree-0
+        generators, since every other product has positive degree.  So the
+        ideal holds 1 exactly when one generator is a nonzero constant.
+        """
+        return any(g.is_constant() for g in self.generators)
 
     def contains(self, f):
+        """f in I, by one normal form against the basis in hand.
+
+        That is the cached basis, or else the latest basis with a linear
+        form last (`_basis_with_last`).  The change of coordinates that
+        basis was computed in is a ring automorphism, so f lies in I exactly
+        when its image reduces to zero against that basis.  With neither in
+        hand, the cached basis is computed.
+        """
         if isinstance(f, str):
             f = self.ring.parse(f)
         if f.ring != self.ring:
             raise RingMismatchError("membership test across rings")
         if not f:
             return True
-        return normal_form(f, self.groebner_basis()).is_zero()
+        return self._member()(f)
 
     def contains_ideal(self, other):
-        return all(self.contains(g) for g in other.generators)
+        """Every generator of `other` in I, with the reducer prepared once."""
+        if other.ring != self.ring:
+            raise RingMismatchError("membership test across rings")
+        member = self._member()
+        return all(member(g) for g in other.generators)
+
+    def _member(self):
+        """The test f -> (f in I) that `contains` describes."""
+        if self._gb is None and self._shifted is not None:
+            _, work, image, gb = self._shifted
+            nf = reducer(gb, work)
+            return lambda f: not nf(image(f))
+        nf = reducer(self.groebner_basis(), self.ring)
+        return lambda f: not nf(f)
 
     def __eq__(self, other):
+        """Equality of ideals, with at most one new basis when either side
+        has a basis or a Hilbert numerator in hand.
+
+        For homogeneous ideals A contained in B, A = B exactly when their
+        Hilbert series agree, since dim A_d <= dim B_d in every degree
+        (Traverso, J. Symbolic Comput. 22, 1996; Kreuzer-Robbiano,
+        Computational Commutative Algebra 2, Sec. 5.1).  So two known
+        numerators that differ decide at once.  Otherwise the generators of
+        one side are tested against the other side, the one with a basis in
+        hand when there is one (see `contains`), and the numerators decide.
+        """
         if not isinstance(other, Ideal):
             return NotImplemented
+        if self is other:
+            return True
         if self.ring != other.ring:
             return False
-        return self.groebner_basis() == other.groebner_basis()
+        mine, theirs = self._known_numerator(), other._known_numerator()
+        if mine is not None and theirs is not None and mine != theirs:
+            return False
+        # the container: a side with a basis in hand, else one whose basis
+        # also yields the numerator not yet known
+        if self._in_hand() or (not other._in_hand() and mine is None):
+            big, small = self, other
+        else:
+            big, small = other, self
+        return (big.contains_ideal(small)
+                and small.hilbert_numerator() == big.hilbert_numerator())
+
+    def _in_hand(self):
+        """True when a basis of I is in hand: cached, or with a form last."""
+        return self._gb is not None or self._shifted is not None
+
+    def _known_numerator(self):
+        """The Hilbert numerator when no new basis is needed for it."""
+        if self._numerator is None and self._gb is None:
+            return None
+        return self.hilbert_numerator()
 
     def __hash__(self):
         return hash((self.ring, self.groebner_basis()))
@@ -209,22 +281,23 @@ class Ideal:
 
         By a linear form, from one stripped degrevlex basis (see
         `_colon_linear`); by any other form f, the unit ideal when f lies
-        in I (one normal form against the cached basis), else
-        (I meet (f)) / f through an elimination basis.  I : J intersects
-        the quotients by the generators of J.
+        in I (one normal form against the basis in hand, see `contains`),
+        else (I meet (f)) / f through an elimination basis.  I : J is the
+        intersection of the quotients by the generators of J, and the unit
+        ideal when J is zero.  Linear generators go first: the basis with
+        such a form last, which their colon computes, then answers the
+        membership tests of the others, and no basis of I itself is needed.
         """
         if isinstance(by, str):
             by = self.ring.parse(by)
         if isinstance(by, Polynomial):
             return self._quotient_poly(by)
         by = self._coerce(by)
-        if by.is_zero():
-            return _unit_ideal(self.ring)
         out = None
-        for g in by.generators:
+        for g in sorted(by.generators, key=lambda g: g.degree() != 1):
             q = self._quotient_poly(g)
             out = q if out is None else out.intersect(q)
-        return self if out is None else out
+        return _unit_ideal(self.ring) if out is None else out
 
     def _quotient_poly(self, f):
         if not f:
@@ -331,6 +404,9 @@ class Ideal:
         degrevlex ring with x moved last, and gb the basis of the image of I
         under x -> 2x - ell, which sends ell to x (a renaming when ell is x).
         When ell is the ring's last variable, gb is the cached basis.
+        Otherwise the latest such basis is kept (see `contains`), and it
+        records the Hilbert numerator of I when that is not yet known: a
+        linear change of coordinates keeps the Hilbert function.
         """
         ring = self.ring
         ell = ring.linear_form(coeffs)
@@ -339,15 +415,25 @@ class Ideal:
             tuple(v for v in ring.variables if v != x) + (x,))
         if len(ell.terms) == 1 and work == ring:
             return ell, work, self.groebner_basis()
+        if self._shifted is not None and self._shifted[0] == coeffs:
+            return ell, work, self._shifted[3]
         if len(ell.terms) == 1:
-            image = [g.map_to(work) for g in self.generators]
+            def image(g):
+                return g.map_to(work)
         else:
             xw = work.variable(x)
             xw = xw + xw - ell.map_to(work)
-            image = [g.substitute({x: xw}, work) for g in self.generators]
+
+            def image(g):
+                return g.substitute({x: xw}, work)
         # the numerator is free once the basis of I is known
         known = self._numerator is not None or self._gb is not None
-        gb = buchberger(image, self.hilbert_numerator() if known else None)
+        gb = buchberger([image(g) for g in self.generators],
+                        self.hilbert_numerator() if known else None)
+        if not known:
+            self._numerator = tuple(monomial_hilbert_numerator(
+                [g.leading_monomial() for g in gb], ring.nvars))
+        self._shifted = (coeffs, work, image, gb)
         return ell, work, gb
 
     def irrelevant_ideal(self):
@@ -355,26 +441,6 @@ class Ideal:
 
     def saturate_irrelevant(self):
         return self.saturate(self.irrelevant_ideal())
-
-    def eliminate(self, names):
-        """I intersected with the subring omitting `names`."""
-        names = list(names)
-        if not names:
-            return self
-        for v in names:
-            if v not in self.ring._index:
-                raise AlgebraError("no variable %r" % (v,))
-        rest = [v for v in self.ring.variables if v not in names]
-        if not rest:
-            raise AlgebraError("cannot eliminate every variable")
-        ring_e = self.ring.with_variables(tuple(names) + tuple(rest),
-                                          MonomialOrder("elim", len(names)))
-        gb = buchberger([g.map_to(ring_e) for g in self.generators])
-        k = len(names)
-        target = self.ring.with_variables(tuple(rest))
-        kept = [g.map_to(target) for g in gb
-                if all(all(m[i] == 0 for i in range(k)) for m in g.terms)]
-        return Ideal(target, kept)
 
     # -- Hilbert data --------------------------------------------------------
 
@@ -590,29 +656,6 @@ class Ideal:
                 return sorted(pts)
         raise GenericityError("could not split the support into points")
 
-    def component_at_point(self, point, others, seed=0):
-        """Primary piece at `point`, given ALL other support points.
-
-        Saturates in turn by one random linear form through each other
-        support point; each form must avoid `point`.
-        """
-        p = self.ring.prime
-        point = normalize_point(point, p)
-        others = [normalize_point(q, p) for q in others]
-        if point in others:
-            raise AlgebraError("point listed among the others")
-        if not others:
-            return self.saturate_irrelevant()
-        for attempt in range(3):
-            rng = random.Random("comp:%d:%d" % (seed, attempt))
-            forms = [_random_form_through(self.ring, q, rng) for q in others]
-            if all(form.evaluate(point) for form in forms):
-                piece = self
-                for form in forms:
-                    piece = piece.saturate(form)
-                return piece
-        raise GenericityError("separating forms kept vanishing at the point")
-
     # -- ring movement -------------------------------------------------------
 
     def extend_ring(self, name="t"):
@@ -695,18 +738,6 @@ def _chart_forms(ring, seed):
 def _random_linear_form(ring, rng):
     while True:
         coeffs = [rng.randrange(ring.prime) for _ in ring.variables]
-        if any(coeffs):
-            return ring.linear_form(coeffs)
-
-
-def _random_form_through(ring, point, rng):
-    """Random linear form vanishing at the projective point."""
-    p = ring.prime
-    j = next(i for i, c in enumerate(point) if c % p)
-    while True:
-        coeffs = [rng.randrange(p) for _ in ring.variables]
-        s = sum(c * x for i, (c, x) in enumerate(zip(coeffs, point)) if i != j) % p
-        coeffs[j] = (-s * pow(point[j], p - 2, p)) % p
         if any(coeffs):
             return ring.linear_form(coeffs)
 

@@ -103,9 +103,9 @@ def verify_lifting(ideal, lifted=None, var="t", bound=None, seed=0):
 
     ideal_ext = ideal.extend_ring(var)
     t_ideal = Ideal(ext, [t])
-    cert["plus_t_matches"] = (lifted + t_ideal) == (ideal_ext + t_ideal)
-
     with_t = lifted + t_ideal
+    cert["plus_t_matches"] = with_t == (ideal_ext + t_ideal)
+
     cert["hilbert_matches"] = all(
         with_t.hilbert_function(d) == ideal.hilbert_function(d)
         for d in range(bound + 1))

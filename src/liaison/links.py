@@ -160,7 +160,9 @@ def lemma_key_link(ideal, f, other, report=None):
 
     q_full = combined.quotient(denom)
     q_by_f = combined.quotient(f)
-    colon_plus = ideal.quotient(f) + other
+    colon = ideal.quotient(f)
+    # I is inside J, so (I : f) + J is J itself when I : f is I
+    colon_plus = other if colon is ideal else colon + other
 
     checks = {
         "f_regular_on_I": ideal.is_regular_element(f),

@@ -556,14 +556,21 @@ class Polynomial:
                 cache[e] = images[i] ** e
             return cache[e]
 
-        total = ring.zero()
+        p = ring.prime
+        out = {}
         for m, c in self.terms.items():
             term = ring.constant(c)
             for i, e in enumerate(m):
                 if e:
                     term = term * power(i, e)
-            total = total + term
-        return total
+            # the sum of the terms, in one dict
+            for mm, cc in term.terms.items():
+                s = (out.get(mm, 0) + cc) % p
+                if s:
+                    out[mm] = s
+                elif mm in out:
+                    del out[mm]
+        return Polynomial(ring, out)
 
     def evaluate(self, point):
         """Evaluate at a tuple of field elements; returns an int residue."""

@@ -1,13 +1,14 @@
 """Independent cross-checks used by several test modules.
 
 Everything here takes a different route from the code under test:
-membership by degree-truncated linear algebra, Hilbert functions by
-monomial counting, sympy as an external basis oracle, quotients through an
-elimination basis, saturation as an iterated quotient, instead of one
-stripped Groebner basis, the affine chart of a scheme by Buchberger on
-the dehomogenized generators, instead of the dehomogenized projective basis,
-and reducedness by the characteristic polynomial of a random multiplier,
-instead of the minimal polynomials of the coordinates.
+membership by degree-truncated linear algebra, equality by fresh reduced
+bases, Hilbert functions by monomial counting, sympy as an external basis
+oracle, quotients through an elimination basis, saturation as an iterated
+quotient, instead of one stripped Groebner basis, the affine chart of a
+scheme by Buchberger on the dehomogenized generators, instead of the
+dehomogenized projective basis, and reducedness by the characteristic
+polynomial of a random multiplier, instead of the minimal polynomials of
+the coordinates.
 """
 
 import itertools
@@ -65,6 +66,13 @@ def membership_by_linear_algebra(f, generators, bound):
     return modp.rank(rows + [vec(f)], p) == base
 
 
+def equal_by_reduced_bases(a, b):
+    """a == b by comparing reduced Groebner bases computed afresh from the
+    generators, whatever either ideal has cached."""
+    return (a.ring == b.ring
+            and buchberger(a.generators) == buchberger(b.generators))
+
+
 def hilbert_by_counting(lead_monomials, n, d):
     """dim of degree-d part of R/(monomial ideal) by direct enumeration."""
     count = 0
@@ -112,6 +120,19 @@ def random_homogeneous(ring, degree, rng):
         if c:
             out = out + ring.monomial(m, c)
     return out
+
+
+def random_form_through(ring, point, rng):
+    """Random linear form vanishing at the projective point."""
+    p = ring.prime
+    j = next(i for i, c in enumerate(point) if c % p)
+    while True:
+        coeffs = [rng.randrange(p) for _ in ring.variables]
+        s = sum(c * x for i, (c, x) in enumerate(zip(coeffs, point))
+                if i != j) % p
+        coeffs[j] = (-s * pow(point[j], p - 2, p)) % p
+        if any(coeffs):
+            return ring.linear_form(coeffs)
 
 
 def quotient_by_elimination(ideal, by):

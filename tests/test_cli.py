@@ -1,5 +1,6 @@
 """CLI tests: dispatch, exit codes, reproducible output."""
 
+import hashlib
 import json
 
 import pytest
@@ -159,3 +160,59 @@ def test_text_format(ci_file, capsys):
     assert main(["hvector", ci_file, "--format", "text"]) == EXIT_OK
     text = capsys.readouterr().out
     assert "h_vector" in text and "{" not in text
+
+
+# Seed-0 outputs of fixed inputs, pinned by the sha256 of the bytes written:
+# a change that keeps reduced Groebner bases, verdicts and exit codes keeps
+# every one of them.
+COLON_I = ideal_obj("xyzw", ["x^2 + y*z", "x*y*z + w^3"])
+COLON_J = ideal_obj("xyzw", ["x^2 + y*z", "x*y*z + w^3", "y^2 - z*w"])
+CUBIC = ["x*z - y^2", "x*w - y*z", "y*w - z^2"]
+DIGEST_CASES = {
+    "link_colon_w": (
+        ["link"], {"ideal": COLON_I, "f": "w", "other": COLON_J},
+        EXIT_OK,
+        "ce25be8c504b8a7225e5ecc8e1f602bcdd13e15ca7ec78ec8aec6993fc41e766"),
+    "link_colon_general": (
+        ["link"], {"ideal": COLON_I, "f": "3*x + 5*y - 7*z + 11*w",
+                   "other": COLON_J},
+        EXIT_OK,
+        "365127c1b0786f6496023db4a2dc93cbbdcdef85f0f8c802f98e14107b1897c5"),
+    "link_cubic": (
+        ["link"], {"ideal": ideal_obj("xyzw", CUBIC),
+                   "linking": ideal_obj("xyzw", CUBIC[:2])},
+        EXIT_OK,
+        "eb02744f85f51bc7f54a92be6c995066d727d547ae43771ba1feb25d2b6e50c3"),
+    "lift": (
+        ["lift"], {"ring": {"vars": ["x", "y", "z"], "prime": 32003},
+                   "monomials": [[2, 0, 0], [0, 3, 0], [0, 0, 2],
+                                 [1, 1, 1]]},
+        EXIT_OK,
+        "d6b0cf43a297befecce53383ce7feababd4d08e390bf01bc755eebddab318aa6"),
+    "hvector": (
+        ["hvector"], ideal_obj("xyzw", ["x^2 + y*z", "x*y*z + w^3"]),
+        EXIT_OK,
+        "7141d4fb8b89237f046dc83b9cfdc492ea6d18f47c68dcb8c06c89fa8eb5d03d"),
+    "embed": (
+        ["embed"], ideal_obj("xyzw", ["x^2 + y*z", "w^3"]), EXIT_OK,
+        "09f9dfde0b6ff3a5cb0af05ca503506ddac499fbecfd08cb0349105ebbbffa56"),
+    "fatpoints_2": (
+        ["fatpoints"], {"points": [{"coords": [1, 0, 0, 0], "mult": 2}]},
+        EXIT_OK,
+        "16f688105efedfe752bb83fd5c0ef56a882265431a25fc10427b73ea3dd9c818"),
+    "fatpoints_double_2_1": (
+        ["fatpoints", "--double-step"],
+        {"points": [{"coords": [1, 0, 0, 0], "mult": 2},
+                    {"coords": [0, 1, 0, 0], "mult": 1}]},
+        EXIT_OK,
+        "50afd67e573d9377d96a7f1e0977c4c8e998ec822e597859c4d9d2d02279acc4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_CASES))
+def test_output_digest(tmp_path, name):
+    (command, *flags), obj, code, digest = DIGEST_CASES[name]
+    out = tmp_path / "out.json"
+    argv = [command, write(tmp_path, "input.json", obj)] + flags
+    assert main(argv + ["--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

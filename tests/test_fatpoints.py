@@ -11,7 +11,7 @@ from liaison.fatpoints import (MAX_REDRAW_ROUNDS, ROLES, FatPointScheme,
                                gorenstein_X_hvector_formula, grid_curves,
                                point_ideal, reduce_to_reduced,
                                single_fatpoint_link_step,
-                               theorem32_double_step, union_ideal)
+                               theorem32_double_step)
 from liaison.ideals import GenericityError, Ideal
 from liaison.rings import AlgebraError, PolyRing
 
@@ -46,11 +46,6 @@ def test_scheme_degree_and_json():
     assert not scheme.is_reduced()
     again = FatPointScheme.from_json(scheme.to_json())
     assert again == scheme
-
-
-def test_union_ideal_of_empty_scheme_rejected():
-    with pytest.raises(AlgebraError):
-        union_ideal(RING, FatPointScheme(()))
 
 
 def test_point_and_fat_ideals():

@@ -12,12 +12,14 @@ from liaison.groebner import (buchberger, monomial_hilbert_numerator,
                               normal_form)
 from liaison.ideals import Ideal, normalize_point
 from liaison.lifting import lift_ideal, verify_lifting
+from liaison.links import lemma_key_link
 from liaison.rings import AlgebraError, PolyRing
 
 from .oracles import (affine_basis_by_dehomogenizing, ci_hilbert_numerator,
-                      hilbert_by_counting, quotient_by_elimination,
-                      random_homogeneous, reduced_by_charpoly,
-                      saturate_by_quotients)
+                      equal_by_reduced_bases, hilbert_by_counting,
+                      membership_by_linear_algebra, quotient_by_elimination,
+                      random_form_through, random_homogeneous,
+                      reduced_by_charpoly, saturate_by_quotients)
 
 P = 32003
 R3 = PolyRing(("x", "y", "z"), P)
@@ -131,12 +133,12 @@ def test_linear_colons_are_memoised(monkeypatch):
     assert ideal.is_regular_element(ell * 7) == (q is ideal)
     sat = ideal.saturate(ell)
     assert ideal.saturate(ell * 3) is sat
-    assert len(calls) == 2          # one basis for each of I : l, I : l^inf
+    assert len(calls) == 1          # one basis with l last, for both caps
     z = R3.parse("z")
     qz = ideal.quotient(z)
     assert ideal.quotient(z * 4) is qz
     assert not ideal.is_regular_element(z)
-    assert len(calls) == 3          # the cached basis of I itself
+    assert len(calls) == 2          # the cached basis of I itself
     assert qz == I3("x", "y*z")
 
 
@@ -150,13 +152,6 @@ def test_regular_linear_form_strips_nothing(monkeypatch):
     assert len(calls) == 1          # the cubic's own basis, cached
     assert cubic.is_regular_element(R4.parse("x0 + x3"))
     assert len(calls) == 2
-
-
-def test_eliminate_projects_twisted_cubic():
-    cubic = I4("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")
-    gone = cubic.eliminate(["x0"])
-    assert gone.ring.variables == ("x1", "x2", "x3")
-    assert gone == Ideal.from_strings(gone.ring, ["x1*x3 - x2^2"])
 
 
 def test_unit_and_zero_flags():
@@ -253,7 +248,7 @@ def test_reducedness_matches_charpoly_oracle(seed, kind):
     ideal = _points_ideal(R3, pts)
     if kind == "fat":
         # a double point at the first point, in a random direction
-        ell, tangent = (ideals._random_form_through(R3, pts[0], rng)
+        ell, tangent = (random_form_through(R3, pts[0], rng)
                         for _ in range(2))
         double = Ideal(R3, [ell, tangent * tangent])
         if double.krull_dim() != 1:
@@ -388,14 +383,6 @@ def test_rational_points_recovers_support():
         I4("x0 - x1", "x1 - x2", "x2 - x3"))
     got = {tuple(pt) for pt in pts.rational_points(seed=2)}
     assert got == {(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1)}
-
-
-def test_component_extraction():
-    a = I4("x1", "x2", "x3")
-    b = I4("x0", "x2", "x3")
-    both = a.intersect(b)
-    piece = both.component_at_point((1, 0, 0, 0), [(0, 1, 0, 0)], seed=4)
-    assert piece == a
 
 
 # -- ring surgery ------------------------------------------------------------
@@ -633,3 +620,160 @@ def test_reducedness_computes_no_characteristic_polynomial(monkeypatch):
     lifted = lift_ideal(I3("x^3", "y^2", "z^2"))
     assert lifted.is_reduced_zero_dim(seed=0)
     assert not I3("y", "x^2").is_reduced_zero_dim(seed=0)
+
+
+# -- answers from the basis or numerator in hand ------------------------------
+
+def _prepare(ideal, state, rng):
+    """Give the ideal what it knows before a question: nothing, its cached
+    basis, a basis with a general linear form last, or only its Hilbert
+    numerator (taken from a basis computed elsewhere)."""
+    if state == "basis":
+        ideal.groebner_basis()
+    elif state == "shifted":
+        ideal._basis_with_last(_normalized_coeffs(
+            _forms_of_each_kind(ideal.ring, rng)[2]))
+    elif state == "numerator":
+        ideal._numerator = Ideal(ideal.ring,
+                                 ideal.generators).hilbert_numerator()
+    return ideal
+
+
+def _partner(a, kind, rng):
+    """An ideal equal to a with other generators, a with one generator more,
+    a with two variables swapped (often the same Hilbert series, another
+    ideal), or an unrelated random ideal."""
+    ring = a.ring
+    if kind == "equal":
+        top = a.max_gen_degree() + 1
+        extra = sum((random_homogeneous(ring, top - g.degree(), rng) * g
+                     for g in a.generators), ring.zero())
+        return Ideal(ring, list(reversed(a.generators)) + [extra])
+    if kind == "larger":
+        return a + Ideal(ring, [random_homogeneous(ring, 2, rng)])
+    if kind == "swapped":
+        return Ideal(ring, [g.substitute({"x": ring.variable("z"),
+                                          "z": ring.variable("x")})
+                            for g in a.generators])
+    return random_ideal(ring, rng)
+
+
+STATES = ["none", "basis", "shifted", "numerator"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=small_seeds, kind=st.sampled_from(["equal", "larger", "swapped",
+                                              "random"]),
+       states=st.tuples(st.sampled_from(STATES), st.sampled_from(STATES)))
+def test_equality_matches_reduced_bases(seed, kind, states):
+    rng = random.Random(seed)
+    a = random_ideal(R3, rng, max_deg=2)
+    b = _partner(a, kind, rng)
+    expected = equal_by_reduced_bases(a, b)
+    if kind == "equal":
+        assert expected
+    a, b = (_prepare(i, s, rng) for i, s in zip((a, b), states))
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _counting_buchberger(patch)
+        assert (a == b) == expected
+        assert (b == a) == expected
+    # the container's basis, unless one side has a basis in hand, and the
+    # other side's, unless it knows its numerator
+    in_hand = any(s in ("basis", "shifted") for s in states)
+    unknown = states.count("none")
+    assert len(calls) <= (unknown if in_hand else 1 + max(unknown - 1, 0))
+
+
+@pytest.mark.parametrize("texts", [(("x", "y"), ("x", "z")),
+                                   (("x^2",), ("x*y",)),
+                                   (("x^2", "x*y"), ("y^2", "x*y"))])
+@pytest.mark.parametrize("states", [("none", "none"), ("basis", "basis"),
+                                    ("shifted", "numerator"),
+                                    ("numerator", "numerator")])
+def test_equal_hilbert_series_is_not_equality(texts, states):
+    # the numerators agree, so the containment test has to decide
+    rng = random.Random(str(texts))
+    a, b = (_prepare(I3(*t), s, rng) for t, s in zip(texts, states))
+    assert a.hilbert_numerator() == b.hilbert_numerator()
+    assert a != b and b != a
+    assert not equal_by_reduced_bases(a, b)
+    assert a == _prepare(I3(*texts[0]), states[1], rng)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=small_seeds, kind=st.sampled_from(["random", "zero", "constant",
+                                              "member", "colon"]))
+def test_zero_and_unit_from_generators_match_the_basis(seed, kind):
+    rng = random.Random(seed)
+    a = random_ideal(R3, rng)
+    if kind == "zero":
+        a = Ideal(R3, [R3.zero()])
+    elif kind == "constant":
+        a = a + Ideal(R3, [R3.constant(rng.randrange(1, P))])
+    elif kind == "member":
+        # a quotient by a member of the ideal is the unit ideal
+        a = a.quotient(a.generators[0] * random_homogeneous(R3, 1, rng))
+    elif kind == "colon":
+        a = a.quotient(Ideal(R3, [random_homogeneous(R3, 1, rng),
+                                  rng.choice(R3.gens())]))
+    gb = buchberger(a.generators)
+    assert a.is_zero() == (not gb)
+    assert a.is_unit() == (bool(gb) and gb[0].is_constant())
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=small_seeds)
+def test_membership_through_a_shifted_basis(seed):
+    # the basis with a general form, or another variable, last answers
+    # membership without the cached basis
+    rng = random.Random(seed)
+    a = random_ideal(R3, rng)
+    ell = rng.choice(_forms_of_each_kind(R3, rng)[1:])
+    a._basis_with_last(_normalized_coeffs(ell))
+    top = a.max_gen_degree() + rng.randrange(2)
+    members = [sum((random_homogeneous(R3, top - g.degree(), rng) * g
+                    for g in a.generators), R3.zero())]
+    others = [random_homogeneous(R3, d, rng) for d in (1, 2, top)]
+    tests = members + others + [m + o for m, o in zip(members, others[2:])]
+    got = [a.contains(f) for f in tests]
+    assert a.contains_ideal(Ideal(R3, members))
+    assert a._gb is None
+    for f, answer in zip(tests, got):
+        assert answer == membership_by_linear_algebra(
+            f, a.generators, max(f.degree(), 0))
+
+
+def test_zero_ideal_has_a_shifted_basis_too():
+    zero = Ideal(R3, [])
+    zero._basis_with_last(_normalized_coeffs(R3.parse("x + y + z")))
+    assert zero.contains(R3.zero()) and not zero.contains(R3.parse("x"))
+    assert zero == Ideal(R3, []) and zero != I3("x")
+
+
+def test_colon_identity_computes_three_bases(monkeypatch):
+    # the basis of J (is I inside J?), of I + f*J with f last and of I with
+    # f last; equality, unit and zero tests, and the codimension of I after
+    # it, read what those left
+    rng = random.Random(5)
+    while True:
+        ideal = Ideal(R4, [random_homogeneous(R4, 2, rng) for _ in range(3)])
+        if ideal.codim() == 3:
+            break
+    ideal = Ideal(R4, ideal.generators)     # a copy with nothing cached
+    other = ideal + Ideal(R4, [random_homogeneous(R4, 1, rng)])
+    f = random_homogeneous(R4, 1, rng)
+    calls = _counting_buchberger(monkeypatch)
+    combined, step = lemma_key_link(ideal, f, other)
+    assert step.passed()
+    assert ideal.codim() == 3
+    assert len(calls) == 3
+
+
+def test_colon_identity_with_a_zerodivisor_reports_it():
+    # f = x0 is a zerodivisor: I : f = (x1) is not inside J, so
+    # (I : f) + J = (x1, x2) is built, and the identity fails
+    combined, step = lemma_key_link(I4("x0*x1"), "x0", I4("x0*x1", "x2"))
+    assert step.checks == {"f_regular_on_I": False,
+                           "colon_by_pair_eq_colon_by_f": True,
+                           "colon_by_f_eq_colon_plus_J": True,
+                           "equals_J": False}
