@@ -3,10 +3,14 @@
 Zero-dimensional schemes are unions of fat points; the link machinery
 reduces a chosen fat point two multiplicities at a time via a pair of
 Gorenstein links built from unions of lines.  Small objects (cone curves,
-local pieces) are handled by Groebner bases; the large line arrangements of
-the second link are tracked exactly as sets of lines with canonical keys,
-with every genericity assumption verified by rank computations and every
-claimed local ideal computed by an actual (small) Groebner calculation.
+local pieces) are handled by Groebner bases.  The large line arrangements
+of the links are tracked exactly in a plane-incidence table
+(`_Arrangement`): a line is a pair of planes of the products, the lines
+through a point are the pairs of planes through it, and every crossing is
+found by one 3x4 solve of a line against a plane, without testing the line
+pairs one by one.  Every genericity assumption is verified by rank
+computations and every claimed local ideal computed by an actual (small)
+Groebner calculation.
 """
 
 from __future__ import annotations
@@ -70,10 +74,6 @@ class LineP3:
         if len(pivots) != 2:
             raise GenericityError("proportional forms do not cut a line")
         return cls((tuple(red[0]), tuple(red[1])))
-
-    def through(self, point, prime):
-        return all(sum(a * b for a, b in zip(r, point)) % prime == 0
-                   for r in self.rows)
 
     def ideal(self, ring):
         return Ideal(ring, [ring.linear_form(r) for r in self.rows])
@@ -353,8 +353,8 @@ def _check_budget(nf, nq, ng, nc, budget):
 
     With nf, nq and ng planes in the products F, Q and G (Q inside G), the
     complete intersection CI(F, G) has nf * ng lines; Y is CI(F, Q) plus nc
-    cone lines, W is the rest of CI(F, G), and the crossing sweep tests
-    every (Y, W) pair.
+    cone lines, W is the rest of CI(F, G), and every (Y, W) pair may
+    cross.
     """
     n = nf * ng
     if n > budget:
@@ -369,77 +369,155 @@ def _check_budget(nf, nq, ng, nc, budget):
 def _ci_lines(f_vecs, g_vecs, p):
     """Lines of the complete intersection of two products of planes.
 
-    Verifies every (f, g) pair independent and all lines distinct, which
-    certifies the complete intersection is the reduced union of the lines.
+    Returns {(F index, G index): line}, row-major.  Verifies every (f, g)
+    pair independent and all lines distinct, which certifies the complete
+    intersection is the reduced union of the lines.
     """
-    out = {}
-    for fv in f_vecs:
-        for gv in g_vecs:
+    out, seen = {}, set()
+    for i, fv in enumerate(f_vecs):
+        for g, gv in enumerate(g_vecs):
             ln = LineP3.make(fv, gv, p)
-            if ln.rows in out:
+            if ln.rows in seen:
                 raise GenericityError("coincident lines in the intersection")
-            out[ln.rows] = ln
+            seen.add(ln.rows)
+            out[i, g] = ln
     return out
 
 
-def _det4(r0, r1, r2, r3):
-    a0, a1, a2, a3 = r0
-    b0, b1, b2, b3 = r1
-    c0, c1, c2, c3 = r2
-    d0, d1, d2, d3 = r3
-    m01 = a0 * b1 - a1 * b0
-    m02 = a0 * b2 - a2 * b0
-    m03 = a0 * b3 - a3 * b0
-    m12 = a1 * b2 - a2 * b1
-    m13 = a1 * b3 - a3 * b1
-    m23 = a2 * b3 - a3 * b2
-    n01 = c0 * d1 - c1 * d0
-    n02 = c0 * d2 - c2 * d0
-    n03 = c0 * d3 - c3 * d0
-    n12 = c1 * d2 - c2 * d1
-    n13 = c1 * d3 - c3 * d1
-    n23 = c2 * d3 - c3 * d2
-    return (m01 * n23 - m02 * n13 + m03 * n12
-            + m12 * n03 - m13 * n02 + m23 * n01)
+def _meet(m, w, p):
+    """The point where a line meets a plane w, by one 3x4 solve.
 
-
-def _meet_point(y, w, p):
-    """Common point of two crossing lines, or None when skew."""
-    rows = [list(y.rows[0]), list(y.rows[1]), list(w.rows[0]), list(w.rows[1])]
-    ker = modp.nullspace(rows, p)
-    if not ker:
-        return None
-    if len(ker) != 1:
-        raise GenericityError("overlapping lines in a crossing test")
-    return tuple(normalize_point(ker[0], p))
-
-
-def _sweep_crossings(lines_y, lines_w, special, p):
-    """Classify every crossing of a Y-line with a W-line.
-
-    Returns (counts at special points, {other crossing point: pair count}).
-    Every pair is tested exactly (4x4 determinant), so skewness of the
-    generic pairs is verified, not assumed.  Three planes through a point
-    give at most one crossing pair there, so a point collecting several
-    pairs away from the special locus lies on four or more planes and its
-    local Gorenstein piece is not a reduced point.  General forms avoid
-    such concurrences, but over GF(p) some turn up by chance once the
-    arrangement is large; the caller redraws a plane through each one.
+    m holds the 2x2 minors (01, 02, 03, 12, 13, 23) of the line's two
+    planes, so the coordinates are the signed 3x3 minors of the three
+    planes.  They all vanish when the three planes have rank 2.
     """
-    special_counts = {k: 0 for k in special}
-    elsewhere = {}
-    wl = [(w, w.rows[0], w.rows[1]) for w in lines_w]
-    for y in lines_y:
-        r0, r1 = y.rows
-        for w, r2, r3 in wl:
-            if _det4(r0, r1, r2, r3) % p:
+    m01, m02, m03, m12, m13, m23 = m
+    w0, w1, w2, w3 = w
+    x = ((w1 * m23 - w2 * m13 + w3 * m12) % p,
+         (w2 * m03 - w0 * m23 - w3 * m02) % p,
+         (w0 * m13 - w1 * m03 + w3 * m01) % p,
+         (w1 * m02 - w0 * m12 - w2 * m01) % p)
+    if not any(x):
+        raise GenericityError("coincident lines in the intersection")
+    return normalize_point(x, p)
+
+
+class _Arrangement:
+    """Plane-incidence table of one link: Y and W as lines of CI(F, G).
+
+    `planes` are the F, Q and N' vectors of `_link_planes`, and G is Q then
+    N'.  A line is the pair (F index, G index) of its planes.  Y is the
+    (F, Q) lines row-major, then the cone lines (a_i, b_j) for the grid's
+    `selected` (i, j), in that order; W is the rest of CI(F, G), row-major.
+    The lines through a point are the pairs of planes through it.
+    """
+
+    def __init__(self, planes, selected, p):
+        f_vecs, q_vecs, n_vecs = planes
+        self.nq = nq = len(q_vecs)
+        self.planes = planes
+        self.p = p
+        self.lines = _ci_lines(f_vecs, q_vecs + n_vecs, p)
+        self.y = ([(i, k) for i in range(len(f_vecs)) for k in range(nq)]
+                  + [(i, nq + j) for i, j in selected])
+        self.ypos = {ln: n for n, ln in enumerate(self.y)}
+        self.w = [ln for ln in self.lines if ln not in self.ypos]
+        self.wpos = {ln: n for n, ln in enumerate(self.w)}
+
+    def planes_through(self, point):
+        """(F, Q, N') index sets of the planes through the point."""
+        p = self.p
+        return tuple({n for n, v in enumerate(vecs)
+                      if sum(a * b for a, b in zip(v, point)) % p == 0}
+                     for vecs in self.planes)
+
+    def lines_through(self, on):
+        """Ascending Y and W positions of the lines through a point that
+        lies on the (F, Q, N') planes `on` and on no other."""
+        fs, qs, ns = on
+        nq = self.nq
+        ys, ws = [], []
+        for i in fs:
+            for g in itertools.chain(qs, (nq + l for l in ns)):
+                n = self.ypos.get((i, g))
+                if n is None:
+                    ws.append(self.wpos[i, g])
+                else:
+                    ys.append(n)
+        return sorted(ys), sorted(ws)
+
+    def crossings(self, special):
+        """Classify every crossing of a Y-line with a W-line.
+
+        Returns (pair counts at the special points, {other crossing point:
+        pair count}, {point: its (F, Q, N') planes} for the special points
+        and the points with several pairs).
+
+        Two distinct lines meet exactly when their four planes have a
+        common point.  So a Y line y meets a W line (F_j, N'_l) at the point
+        y meet N'_l, unless N'_l is a plane of y; then y is a cone line,
+        F_j is not its F plane, and the point is y meet F_j.  Hence every
+        crossing is among the points y meet pi, for every Y line y and N'
+        plane pi and, for a cone line, every F plane pi: one 3x4 solve each.
+        Each such point x lies on an N' plane nu of the triple that gave it
+        (pi, or b_j for a cone line), and it collects the planes of every
+        triple that gives it, which are all the planes through x: another
+        N' plane through x gives y meet N', a Q plane Q_k gives
+        (F_i, Q_k) meet nu for the F plane F_i of y, and another F plane
+        F_a gives (F_a, Q_k) meet nu when y = (F_i, Q_k), or y meet F_a when
+        y is a cone line.  The lines through x are the pairs of planes
+        through it, and two distinct lines through x meet only there, so x
+        has |Y_x| * |W_x| crossing pairs.  A triple of rank 2 would mean two
+        coincident lines and raises GenericityError, so the skewness of
+        every other pair is verified, not assumed.  At a special point the
+        planes are found directly, one dot product each.
+
+        Three planes through a point give at most one crossing pair there,
+        so a point collecting several pairs away from the special locus
+        lies on four or more planes and its local Gorenstein piece is not a
+        reduced point.  General forms avoid such concurrences, but over
+        GF(p) some turn up by chance once the arrangement is large; the
+        caller redraws a plane through each one.  The other crossing points
+        come in the order in which a sweep of Y against W, both in order,
+        meets them first: by the least Y position, then the least W
+        position, of the lines through them.
+        """
+        p, nq = self.p, self.nq
+        n_cuts = [(2, l) for l in range(len(self.planes[2]))]
+        cone_cuts = n_cuts + [(0, a) for a in range(len(self.planes[0]))]
+        # the (role, index) planes of every triple through each point; a
+        # flat tuple, not sets, to keep the table small
+        cut_by = {}
+        for i, g in self.y:
+            own = ((0, i), (1, g) if g < nq else (2, g - nq))
+            u, v = (self.planes[role][n] for role, n in own)
+            m = (u[0] * v[1] - u[1] * v[0], u[0] * v[2] - u[2] * v[0],
+                 u[0] * v[3] - u[3] * v[0], u[1] * v[2] - u[2] * v[1],
+                 u[1] * v[3] - u[3] * v[1], u[2] * v[3] - u[3] * v[2])
+            for cut in (cone_cuts if own[1][0] == 2 else n_cuts):
+                if cut not in own:
+                    x = _meet(m, self.planes[cut[0]][cut[1]], p)
+                    cut_by[x] = cut_by.get(x, ()) + own + (cut,)
+        counts, on = {}, {}
+        for key in special:
+            on[key] = self.planes_through(key)
+            ys, ws = self.lines_through(on[key])
+            counts[key] = len(ys) * len(ws)
+        found = []
+        for x, cuts in cut_by.items():
+            if x in special:
                 continue
-            pt = _meet_point(y, w, p)
-            if pt in special_counts:
-                special_counts[pt] += 1
-            else:
-                elsewhere[pt] = elsewhere.get(pt, 0) + 1
-    return special_counts, elsewhere
+            at = (set(), set(), set())
+            for role, n in cuts:
+                at[role].add(n)
+            ys, ws = self.lines_through(at)
+            if ys and ws:
+                pairs = len(ys) * len(ws)
+                found.append((ys[0], ws[0], x, pairs))
+                if pairs > 1:
+                    on[x] = at
+        found.sort()
+        return counts, {x: n for _, _, x, n in found}, on
 
 
 def _product(ring, forms):
@@ -452,41 +530,37 @@ def _product(ring, forms):
 # ---------------------------------------------------------------------------
 # one tracked Gorenstein link (shared by both halves of the double step)
 
-def _incident(lines, point, p):
-    """Lines whose canonical rows both vanish at the point."""
-    out = []
-    for ln in lines:
-        if (sum(a * b for a, b in zip(ln.rows[0], point)) % p == 0
-                and sum(a * b for a, b in zip(ln.rows[1], point)) % p == 0):
-            out.append(ln)
-    return out
-
-
 def _link_planes(sel, fat_forms, aux):
-    """Coefficient vectors of the plane products F, Q and G of one link.
+    """Coefficient vectors of the plane products F, Q and N' of one link.
 
-    F holds the grid's a-forms and the L planes, Q the M planes, and G the
-    Q planes, the grid's b-forms and the N planes.
+    F holds the grid's a-forms and the L planes, Q the M planes, and N' the
+    grid's b-forms and the N planes; G is Q then N'.  Also returns the
+    fresh planes: {(role, index): (position of R_k in aux, role, R_k)}.
     """
-    f_vecs = [_vec(f) for f in sel.a_forms]
-    q_vecs = []
-    n_vecs = [_vec(f) for f in sel.b_forms]
-    for lf, mf, nf in itertools.chain(fat_forms.values(), aux.values()):
-        f_vecs += map(_vec, lf)
-        q_vecs += map(_vec, mf)
-        n_vecs += map(_vec, nf)
-    return f_vecs, q_vecs, q_vecs + n_vecs
-
-
-def _fresh_plane_through(aux, point, p):
-    """(R_k, role index) of the first fresh plane through the point."""
-    for q, triple in aux.items():
+    planes = ([_vec(f) for f in sel.a_forms], [],
+              [_vec(f) for f in sel.b_forms])
+    for triple in fat_forms.values():
         for role, forms in enumerate(triple):
-            if forms and sum(a * b for a, b in zip(_vec(forms[0]),
-                                                   point)) % p == 0:
-                return q, role
-    raise GenericityError(
-        "several crossing pairs meet at %s on no fresh plane" % PointP3(point))
+            planes[role].extend(map(_vec, forms))
+    fresh = {}
+    for pos, (q, triple) in enumerate(aux.items()):
+        for role, forms in enumerate(triple):
+            for f in forms:
+                fresh[role, len(planes[role])] = (pos, role, q)
+                planes[role].append(_vec(f))
+    return planes, fresh
+
+
+def _fresh_plane_at(fresh, on, point):
+    """Key in `fresh` of the first fresh plane, in aux order, among the
+    (F, Q, N') planes `on` through the point."""
+    keys = [(role, n) for role, ns in enumerate(on) for n in ns
+            if (role, n) in fresh]
+    if not keys:
+        raise GenericityError(
+            "several crossing pairs meet at %s on no fresh plane"
+            % PointP3(point))
+    return min(keys, key=fresh.get)
 
 
 def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
@@ -504,10 +578,11 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
     Off the tracked points, every point of Gor must be a single crossing,
     so a reduced point.  A point where several crossing pairs meet is a
     concurrence of planes that general forms avoid; one fresh plane through
-    it is redrawn (from `seed`), for at most MAX_REDRAW_ROUNDS rounds.  A
-    concurrence on no fresh plane, or one left after the last round, raises
-    GenericityError.  The rounds and the seed of every redrawn plane are
-    recorded in the gorenstein-link step.
+    it is redrawn (from `seed`), for at most MAX_REDRAW_ROUNDS rounds, and
+    the incidence table is built again.  A concurrence on no fresh plane,
+    or one left after the last round, raises GenericityError.  The rounds
+    and the seed of every redrawn plane are recorded in the
+    gorenstein-link step.
 
     Local Gorenstein pieces are computed from the lines actually incident
     to each tracked point, never from the generic expectations; the latter
@@ -524,35 +599,31 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
            for q, triple in aux.items()}
     redrawn = []
     for rounds in range(MAX_REDRAW_ROUNDS + 1):
-        f_vecs, q_vecs, g_vecs = _link_planes(sel, fat_forms, aux)
-        _check_budget(len(f_vecs), len(q_vecs), len(g_vecs),
-                      len(sel.lines_c), budget)
+        planes, fresh = _link_planes(sel, fat_forms, aux)
+        f_vecs, q_vecs, n_vecs = planes
+        nq = len(q_vecs)
+        _check_budget(len(f_vecs), nq, nq + len(n_vecs), len(sel.lines_c),
+                      budget)
         canon_f = {_canon_vec(v, p) for v in f_vecs}
-        canon_g = {_canon_vec(v, p) for v in g_vecs}
+        canon_g = {_canon_vec(v, p) for v in q_vecs + n_vecs}
         checks = {
             "factor_planes_distinct": (len(canon_f) == len(f_vecs)
-                                       and len(canon_g) == len(g_vecs)
+                                       and len(canon_g) == nq + len(n_vecs)
                                        and not (canon_f & canon_g)),
         }
         if not checks["factor_planes_distinct"]:
             raise GenericityError("coincident planes among the products")
 
         # Y = cone curve C plus the complete intersection of F and Q
-        ci_fq = _ci_lines(f_vecs, q_vecs, p) if q_vecs else {}
-        lines_y = dict(ci_fq)
-        for ln in sel.lines_c:
-            if ln.rows in lines_y:
-                raise GenericityError("cone line collides with an (F, Q) line")
-            lines_y[ln.rows] = ln
-        ci_fg = _ci_lines(f_vecs, g_vecs, p) if g_vecs else {}
-        checks["Y_inside_CI"] = all(k in ci_fg for k in lines_y)
-        lines_w = {k: ln for k, ln in ci_fg.items() if k not in lines_y}
+        arr = _Arrangement(planes, sel.selected, p)
+        checks["Y_inside_CI"] = all(
+            arr.lines[i, nq + j].rows == ln.rows
+            for (i, j), ln in zip(sel.selected, sel.lines_c))
         checks["degree_partition"] = (
-            len(lines_y) + len(lines_w) == len(ci_fg))
+            len(arr.y) + len(arr.w) == len(arr.lines))
 
         # crossings classify the support of Gor = Y meet W
-        counts, elsewhere = _sweep_crossings(
-            list(lines_y.values()), list(lines_w.values()), special, p)
+        counts, elsewhere, on = arr.crossings(special)
         concurrent = [pt for pt, n in elsewhere.items() if n > 1]
         if not concurrent:
             break
@@ -562,12 +633,9 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
                 % (len(concurrent), rounds))
         # a new plane through a crossing point would make it concurrent
         crossings = list(special.values()) + [PointP3(pt) for pt in elsewhere]
-        done = set()
         for pt in concurrent:
-            q, role = _fresh_plane_through(aux, pt, p)
-            if (q, role) in done:
-                continue
-            done.add((q, role))
+            # popped: the redrawn plane passes through no crossing point
+            _, role, q = fresh.pop(_fresh_plane_at(fresh, on[pt], pt))
             s = seed + 3 * (rounds + 1) + role
             avoid = [r for r in crossings if r != q]
             aux[q][role][:] = general_forms_through(ring, q, 1, s, avoid)
@@ -576,10 +644,10 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
         kind="basic-double-link",
         description=("Y%s = C%s plus CI(F%s, Q%s): %d lines; "
                      "W%s = complement in CI(F%s, G%s): %d lines"
-                     % (label, label, label, label, len(lines_y),
-                        label, label, label, len(lines_w))),
-        data={"deg_Y": len(lines_y), "deg_W": len(lines_w),
-              "deg_CI": len(ci_fg)},
+                     % (label, label, label, label, len(arr.y),
+                        label, label, label, len(arr.w))),
+        data={"deg_Y": len(arr.y), "deg_W": len(arr.w),
+              "deg_CI": len(arr.lines)},
         checks=dict(checks),
     ))
     simple = list(elsewhere)
@@ -587,15 +655,13 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
     # local Gorenstein pieces at the tracked points, from the incident lines
     gor_local = {}
     gcheck = {}
-    y_list = list(lines_y.values())
-    w_list = list(lines_w.values())
     for key in special:
         if counts[key] == 0:
             continue
-        inc_y = _incident(y_list, key, p)
-        inc_w = _incident(w_list, key, p)
-        piece = (_lines_ideal(ring, inc_y)
-                 + _lines_ideal(ring, inc_w)).saturate_irrelevant()
+        ys, ws = arr.lines_through(on[key])
+        piece = (_lines_ideal(ring, [arr.lines[arr.y[n]] for n in ys])
+                 + _lines_ideal(ring, [arr.lines[arr.w[n]] for n in ws])
+                 ).saturate_irrelevant()
         gor_local[key] = piece
     for q in aux:
         if gor_local.get(q.coords) != point_ideal(ring, q):
@@ -699,7 +765,7 @@ def _auxiliary_planes(ring, rk_objs, fat_forms, tracked, seed):
     return out
 
 
-def _scheme_data(ring, scheme, focus_index):
+def _scheme_data(scheme, focus_index):
     focus, a = scheme.points[focus_index]
     others = [(pt, b) for i, (pt, b) in enumerate(scheme.points)
               if i != focus_index]
@@ -736,8 +802,7 @@ def theorem32_double_step(scheme, focus_index=0, seed=0, ring=None,
 
 
 def _double_step_once(scheme, focus_index, seed, ring, budget):
-    p = ring.prime
-    focus, a, others = _scheme_data(ring, scheme, focus_index)
+    focus, a, others = _scheme_data(scheme, focus_index)
     if a < 2:
         raise AlgebraError("focus point must have multiplicity >= 2")
     report = LinkChainReport()
@@ -771,8 +836,8 @@ def _double_step_once(scheme, focus_index, seed, ring, budget):
 
     # the focus component of Z' must be exactly the (a-1)-st power
     zp_focus = res1.get(focus.coords)
-    lower = (fat_point_ideal(ring, focus, a - 1) if a >= 2 else None)
-    ok_focus = zp_focus is not None and zp_focus == lower
+    ok_focus = (zp_focus is not None
+                and zp_focus == fat_point_ideal(ring, focus, a - 1))
     report.add(LinkStep(
         kind="first-residual-check",
         description="component of Z' at %s equals power %d" % (focus, a - 1),

@@ -593,69 +593,6 @@ class Ideal:
         return all(modp.is_squarefree(_minimal_polynomial(x, nf), aff.prime)
                    for x in aff.gens())
 
-    def rational_points(self, seed=0):
-        """Support points of a reduced zero-dimensional scheme.
-
-        Returns normalized projective coordinate tuples.  Requires all
-        points rational over GF(p) and the scheme reduced.
-        """
-        if self.krull_dim() != 1:
-            raise AlgebraError("rational_points needs dim(R/I) = 1")
-        p = self.ring.prime
-        aff, gb, std, coords = self._affine_algebra(seed)
-        for attempt in range(4):
-            rng = random.Random("pts:%d:%d" % (seed, attempt))
-            lam = _random_linear_form(aff, rng)
-            M = _mult_matrix(lam, gb, std, aff)
-            chi = modp.charpoly(M, p)
-            if not modp.is_squarefree(chi, p):
-                continue
-            eigs = modp.roots(chi, p, rng)
-            if len(eigs) != len(std):
-                raise GenericityError("non-rational or non-reduced support")
-            Mt = modp.transpose(M)
-            pts = []
-            var_nf = dict(zip(aff.variables,
-                              normal_forms(aff.gens(), gb)))
-            std_index = {m: i for i, m in enumerate(std)}
-            one_idx = std_index[(0,) * aff.nvars]
-            for r in eigs:
-                A = [row[:] for row in Mt]
-                for i in range(len(A)):
-                    A[i][i] = (A[i][i] - r) % p
-                ker = modp.nullspace(A, p)
-                if len(ker) != 1:
-                    break
-                w = ker[0]
-                if w[one_idx] % p == 0:
-                    break
-                inv = pow(w[one_idx], p - 2, p)
-                w = [(v * inv) % p for v in w]
-                # value of each affine variable at the point
-                affvals = {}
-                ok = True
-                for v in aff.variables:
-                    nf = var_nf[v]
-                    val = 0
-                    for m, c in nf.terms.items():
-                        if m not in std_index:
-                            ok = False
-                            break
-                        val = (val + c * w[std_index[m]]) % p
-                    if not ok:
-                        break
-                    affvals[v] = val
-                if not ok:
-                    break
-                point = []
-                aff_point = [affvals[v] for v in aff.variables]
-                for v in self.ring.variables:
-                    point.append(coords[v].evaluate(aff_point))
-                pts.append(normalize_point(point, p))
-            else:
-                return sorted(pts)
-        raise GenericityError("could not split the support into points")
-
     # -- ring movement -------------------------------------------------------
 
     def extend_ring(self, name="t"):

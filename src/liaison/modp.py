@@ -6,8 +6,6 @@ coefficient lists, lowest degree first.
 
 from __future__ import annotations
 
-import random
-
 
 def rref(rows, p):
     """Reduced row echelon form; returns (rows, pivot column list)."""
@@ -60,10 +58,6 @@ def nullspace(rows, p):
     return basis
 
 
-def transpose(M):
-    return [list(col) for col in zip(*M)]
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials over GF(p), coefficient lists (low to high)
 
@@ -71,17 +65,6 @@ def poly_trim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def poly_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return poly_trim(out)
 
 
 def poly_mod(f, g, p):
@@ -114,18 +97,6 @@ def poly_gcd(f, g, p):
 
 def poly_deriv(f, p):
     return poly_trim([(i * c) % p for i, c in enumerate(f)][1:])
-
-
-def poly_pow_mod(base, e, mod, p):
-    result = [1]
-    base = poly_mod(list(base), mod, p)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base, p), mod, p)
-        e >>= 1
-        if e:
-            base = poly_mod(poly_mul(base, base, p), mod, p)
-    return result
 
 
 def charpoly(M, p):
@@ -188,55 +159,3 @@ def is_squarefree(f, p):
     if not d:
         return len(poly_trim(list(f))) <= 2  # constant or linear after x^p issues
     return len(poly_gcd(f, d, p)) == 1
-
-
-def roots(f, p, rng=None):
-    """All roots of f in GF(p) (without multiplicity), by gcd splitting."""
-    rng = rng or random.Random(0)
-    f = poly_trim(list(f))
-    if len(f) <= 1:
-        return []
-    xp = poly_pow_mod([0, 1], p, f, p)
-    lin = poly_gcd(f, poly_trim([(a - b) % p for a, b in
-                                 zip(xp + [0, 0], [0, 1] + [0] * len(xp))]), p)
-    out = []
-
-    def split(g):
-        g = poly_trim(list(g))
-        if len(g) <= 1:
-            return
-        if len(g) == 2:
-            out.append((-g[0] * pow(g[1], p - 2, p)) % p)
-            return
-        while True:
-            a = rng.randrange(p)
-            h = poly_pow_mod([a, 1], (p - 1) // 2, g, p)
-            h = poly_trim([(c - (1 if i == 0 else 0)) % p for i, c in
-                           enumerate(h + [0])])
-            d = poly_gcd(g, h, p)
-            if 0 < len(d) - 1 < len(g) - 1:
-                split(d)
-                # co-factor
-                q = _poly_quo(g, d, p)
-                split(q)
-                return
-
-    split(lin)
-    return sorted(out)
-
-
-def _poly_quo(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], p - 2, p)
-    q = [0] * (len(f) - dg)
-    while len(f) - 1 >= dg and poly_trim(f):
-        if len(f) - 1 < dg:
-            break
-        c = (f[-1] * inv) % p
-        shift = len(f) - 1 - dg
-        q[shift] = c
-        for i, b in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * b) % p
-        poly_trim(f)
-    return poly_trim(q)

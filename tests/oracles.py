@@ -8,7 +8,8 @@ quotient, instead of one stripped Groebner basis, the affine chart of a
 scheme by Buchberger on the dehomogenized generators, instead of the
 dehomogenized projective basis, and reducedness by the characteristic
 polynomial of a random multiplier, instead of the minimal polynomials of
-the coordinates.
+the coordinates, and the crossings of two line sets by testing every pair
+of lines, instead of reading them off the planes through each point.
 """
 
 import itertools
@@ -16,8 +17,9 @@ import random
 
 from liaison import modp
 from liaison.groebner import buchberger
-from liaison.ideals import (Ideal, _exact_div, _mult_matrix,
-                            _random_linear_form)
+from liaison.ideals import (GenericityError, Ideal, _exact_div,
+                            _mult_matrix, _random_linear_form,
+                            normalize_point)
 from liaison.rings import Polynomial, mono_divides
 
 
@@ -198,3 +200,58 @@ def reduced_by_charpoly(ideal, seed):
         if modp.is_squarefree(chi, aff.prime):
             return True
     return False
+
+
+def det4(r0, r1, r2, r3):
+    a0, a1, a2, a3 = r0
+    b0, b1, b2, b3 = r1
+    c0, c1, c2, c3 = r2
+    d0, d1, d2, d3 = r3
+    m01 = a0 * b1 - a1 * b0
+    m02 = a0 * b2 - a2 * b0
+    m03 = a0 * b3 - a3 * b0
+    m12 = a1 * b2 - a2 * b1
+    m13 = a1 * b3 - a3 * b1
+    m23 = a2 * b3 - a3 * b2
+    n01 = c0 * d1 - c1 * d0
+    n02 = c0 * d2 - c2 * d0
+    n03 = c0 * d3 - c3 * d0
+    n12 = c1 * d2 - c2 * d1
+    n13 = c1 * d3 - c3 * d1
+    n23 = c2 * d3 - c3 * d2
+    return (m01 * n23 - m02 * n13 + m03 * n12
+            + m12 * n03 - m13 * n02 + m23 * n01)
+
+
+def meet_point(y, w, p):
+    """Common point of two crossing lines, or None when skew."""
+    rows = [list(y.rows[0]), list(y.rows[1]), list(w.rows[0]), list(w.rows[1])]
+    ker = modp.nullspace(rows, p)
+    if not ker:
+        return None
+    if len(ker) != 1:
+        raise GenericityError("overlapping lines in a crossing test")
+    return tuple(normalize_point(ker[0], p))
+
+
+def sweep_crossings(lines_y, lines_w, special, p):
+    """Classify every crossing of a Y-line with a W-line, pair by pair.
+
+    Returns (counts at special points, {other crossing point: pair count}),
+    the latter in the order the sweep first meets each point.  Every pair
+    is tested exactly (4x4 determinant).
+    """
+    special_counts = {k: 0 for k in special}
+    elsewhere = {}
+    wl = [(w, w.rows[0], w.rows[1]) for w in lines_w]
+    for y in lines_y:
+        r0, r1 = y.rows
+        for w, r2, r3 in wl:
+            if det4(r0, r1, r2, r3) % p:
+                continue
+            pt = meet_point(y, w, p)
+            if pt in special_counts:
+                special_counts[pt] += 1
+            else:
+                elsewhere[pt] = elsewhere.get(pt, 0) + 1
+    return special_counts, elsewhere

@@ -206,6 +206,19 @@ DIGEST_CASES = {
                     {"coords": [0, 1, 0, 0], "mult": 1}]},
         EXIT_OK,
         "50afd67e573d9377d96a7f1e0977c4c8e998ec822e597859c4d9d2d02279acc4"),
+    "fatpoints_double_3_1": (
+        ["fatpoints", "--double-step"],
+        {"points": [{"coords": [1, 0, 0, 0], "mult": 3},
+                    {"coords": [0, 1, 0, 0], "mult": 1}]},
+        EXIT_OK,
+        "19b329726813bf47937198aa0bb1cdb89a2d5657d053cdad49a6e1f3a0fc0602"),
+    # three redraw rounds in the second link: pins the redraw order
+    "fatpoints_double_2_2": (
+        ["fatpoints", "--double-step"],
+        {"points": [{"coords": [1, 0, 0, 0], "mult": 2},
+                    {"coords": [0, 1, 0, 0], "mult": 2}]},
+        EXIT_OK,
+        "cabf341e99e778a6ee3e3330b09e3d76625a0989d3fe3659418c155c83761474"),
 }
 
 

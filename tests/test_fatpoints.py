@@ -1,10 +1,13 @@
 """Fat point machinery: formulas, grids, link steps, full reduction."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from liaison import fatpoints
+from liaison import fatpoints, modp
 from liaison.fatpoints import (MAX_REDRAW_ROUNDS, ROLES, FatPointScheme,
-                               LineP3, PointP3, ResourceLimitError,
+                               GridCurveSelection, LineP3, PointP3,
+                               ResourceLimitError,
                                default_ring, fat_point_ideal,
                                fatpoint_hvector_formula,
                                general_forms_through,
@@ -12,8 +15,10 @@ from liaison.fatpoints import (MAX_REDRAW_ROUNDS, ROLES, FatPointScheme,
                                point_ideal, reduce_to_reduced,
                                single_fatpoint_link_step,
                                theorem32_double_step)
-from liaison.ideals import GenericityError, Ideal
+from liaison.ideals import GenericityError, Ideal, normalize_point
 from liaison.rings import AlgebraError, PolyRing
+
+from .oracles import sweep_crossings
 
 P = 32003
 RING = default_ring()
@@ -147,9 +152,17 @@ def test_auxiliary_planes_fill_only_open_roles():
                 assert f.evaluate(q.coords) == 0
                 assert all(f.evaluate(r.coords) != 0
                            for r in tracked if r != q)
-    # a concurrence must lie on a fresh plane to be redrawn
+    # a concurrence is redrawn on the first fresh plane through it, and
+    # must lie on one: [0:1:0:0] lies on reused planes only
+    sel = GridCurveSelection(ORIGIN, [x1], [x1 + x2 + 2 * x3], [], [], [])
+    planes, fresh = fatpoints._link_planes(sel, fat_forms, aux)
+    arr = fatpoints._Arrangement(planes, [], P)
+    key = fatpoints._fresh_plane_at(fresh, arr.planes_through(on_none.coords),
+                                    on_none.coords)
+    assert fresh[key] == (1, 0, on_none)
     with pytest.raises(GenericityError):
-        fatpoints._fresh_plane_through(aux, (0, 1, 0, 0), P)
+        fatpoints._fresh_plane_at(fresh, arr.planes_through(OTHER.coords),
+                                  OTHER.coords)
     # two reused L planes through one point
     with pytest.raises(GenericityError):
         fatpoints._auxiliary_planes(RING, [PointP3.make([1, 0, 0, 0])],
@@ -184,3 +197,84 @@ def test_double_step_budget_fails_before_drawing(monkeypatch):
     # the first link's CI(F, G) has (2 + 1) * (2 * 1 + 2 + 1) = 15 lines
     with pytest.raises(ResourceLimitError):
         theorem32_double_step(scheme, seed=0, budget=14)
+
+
+# -- the incidence table against the pairwise sweep --------------------------
+
+def _sweep_lines(planes, cone, p):
+    """Y and W as line lists in sweep order, built from the planes alone:
+    CI(F, Q) row-major and the cone lines, then the rest of CI(F, G)."""
+    f_vecs, q_vecs, n_vecs = planes
+    lines_y = ([LineP3.make(f, q, p) for f in f_vecs for q in q_vecs]
+               + [LineP3.make(f_vecs[i], n_vecs[j], p) for i, j in cone])
+    in_y = {ln.rows for ln in lines_y}
+    lines_w = [ln for ln in (LineP3.make(f, n, p)
+                             for f in f_vecs for n in n_vecs)
+               if ln.rows not in in_y]
+    return lines_y, lines_w
+
+
+def _assert_matches_sweep(arr, cone, special, found):
+    counts, elsewhere, _ = found
+    ref_counts, ref_elsewhere = sweep_crossings(
+        *_sweep_lines(arr.planes, cone, arr.p), special, arr.p)
+    assert counts == ref_counts
+    assert list(elsewhere.items()) == list(ref_elsewhere.items())
+
+
+@pytest.mark.parametrize("a", [2, 3])
+def test_crossings_match_the_pairwise_sweep(monkeypatch, a):
+    calls = []
+    crossings = fatpoints._Arrangement.crossings
+
+    def recording(arr, special):
+        found = crossings(arr, special)
+        calls.append((arr, dict(special), found))
+        return found
+
+    monkeypatch.setattr(fatpoints._Arrangement, "crossings", recording)
+    scheme = FatPointScheme(((ORIGIN, a), (OTHER, 1)))
+    report = theorem32_double_step(scheme, seed=0)
+    assert report.ok()
+    rounds = [s.data["redraw_rounds"] for s in report.steps
+              if s.kind == "gorenstein-link"]
+    assert len(calls) == len(rounds) + sum(rounds)
+    for arr, special, found in calls:
+        first_cone = len(arr.planes[0]) * arr.nq
+        cone = [(i, g - arr.nq) for i, g in arr.y[first_cone:]]
+        _assert_matches_sweep(arr, cone, special, found)
+    assert any(n > 1 for _, _, (_, elsewhere, _) in calls
+               for n in elsewhere.values())
+
+
+SMALL = 7
+PLANE = st.tuples(*[st.integers(0, SMALL - 1)] * 4).filter(any)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_crossings_match_the_pairwise_sweep_at_a_small_prime(data):
+    # over GF(7) four planes through one point, and crossings on the cone
+    # lines, are common
+    planes = (data.draw(st.lists(PLANE, min_size=1, max_size=4)),
+              data.draw(st.lists(PLANE, max_size=3)),
+              data.draw(st.lists(PLANE, min_size=1, max_size=4)))
+    nf, nn = len(planes[0]), len(planes[2])
+    cone = data.draw(st.lists(st.tuples(st.integers(0, nf - 1),
+                                        st.integers(0, nn - 1)),
+                              unique=True, max_size=3))
+    # special points: where three of the planes meet
+    special = {}
+    every = [v for vecs in planes for v in vecs]
+    for three in data.draw(st.lists(st.lists(st.sampled_from(every),
+                                             min_size=3, max_size=3),
+                                    max_size=3)):
+        ker = modp.nullspace([list(v) for v in three], SMALL)
+        if len(ker) == 1:
+            pt = normalize_point(ker[0], SMALL)
+            special[pt] = PointP3(pt)
+    try:
+        arr = fatpoints._Arrangement(planes, cone, SMALL)
+    except GenericityError:
+        assume(False)
+    _assert_matches_sweep(arr, cone, special, arr.crossings(special))

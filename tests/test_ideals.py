@@ -290,7 +290,6 @@ def test_charts_skip_points_on_their_hyperplanes():
     # z = 1 - a*x - b*y on the chart a*x + b*y + z = 1
     assert coords["z"] == R3.with_variables(("x", "y")).parse(
         "1 - %d*x - %d*y" % charts[2][:2])
-    assert ideal.rational_points(seed=seed) == pts
     assert ideal.is_reduced_zero_dim(seed=seed)
 
 
@@ -319,7 +318,6 @@ def test_chart_basis_matches_dehomogenized_generators(seed, on_last,
     # a Groebner basis of the chart's ideal, reduced when the chart form is
     # a nonzerodivisor
     assert (gb if not embedded else buchberger(gb)) == ref
-    assert ideal.rational_points(seed=seed) == pts
 
 
 def test_lift_certificate_reuses_the_lift_basis(monkeypatch):
@@ -376,13 +374,6 @@ def test_mult_matrix_prepares_the_reducers_once(monkeypatch):
     monkeypatch.setattr(groebner, "_make_basis", counting)
     ideals._mult_matrix(ideals._random_linear_form(aff, rng), gb, std, aff)
     assert len(calls) == 1
-
-
-def test_rational_points_recovers_support():
-    pts = I4("x1", "x2", "x3").intersect(I4("x0", "x2", "x3")).intersect(
-        I4("x0 - x1", "x1 - x2", "x2 - x3"))
-    got = {tuple(pt) for pt in pts.rational_points(seed=2)}
-    assert got == {(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1)}
 
 
 # -- ring surgery ------------------------------------------------------------

@@ -48,8 +48,10 @@ def test_lift_square_of_maximal_ideal_gives_three_points():
     lifted = lift_ideal(ideal)
     assert lifted.degree() == 3
     assert lifted.is_reduced_zero_dim(seed=1)
-    pts = {tuple(p) for p in lifted.rational_points(seed=1)}
-    assert pts == {(0, 0, 1), (1, 0, 1), (0, 1, 1)}
+    # a reduced scheme of degree 3 inside the ideals of three points is
+    # those points: (0:0:1), (1:0:1) and (0:1:1)
+    for point in (["x", "y"], ["x - t", "y"], ["x", "y - t"]):
+        assert Ideal.from_strings(lifted.ring, point).contains_ideal(lifted)
 
 
 def test_setting_t_zero_recovers_input():
