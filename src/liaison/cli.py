@@ -44,15 +44,25 @@ def _load_json(path):
 
 def _load_ideal(data, prime):
     """Ideal from a JSON object with a ring block and generators."""
-    if "ring" not in data:
+    ring_data = data.get("ring") if isinstance(data, dict) else None
+    if not isinstance(ring_data, dict):
         raise CliError("ideal object needs a 'ring' block")
-    ring_data = dict(data["ring"])
+    ring_data = dict(ring_data)
     if prime is not None:
         ring_data["prime"] = prime
-    ring = PolyRing(ring_data["vars"], ring_data.get("prime", DEFAULT_PRIME))
+    if "vars" not in ring_data:
+        raise CliError("ring block needs 'vars'")
+    try:
+        ring = PolyRing(ring_data["vars"],
+                        ring_data.get("prime", DEFAULT_PRIME))
+    except (AlgebraError, TypeError) as exc:
+        raise CliError("bad ring: %s" % exc)
     gens = data.get("generators")
     if gens is None and "monomials" in data:
-        gens = [ring.monomial(e) for e in data["monomials"]]
+        try:
+            gens = [ring.monomial(e) for e in data["monomials"]]
+        except (AlgebraError, TypeError) as exc:
+            raise CliError("bad monomial: %s" % exc)
         return Ideal(ring, gens)
     if gens is None:
         raise CliError("ideal object needs 'generators' or 'monomials'")
@@ -174,10 +184,13 @@ def cmd_fatpoints(args):
     data = _load_json(args.input)
     prime = args.prime or data.get("prime", DEFAULT_PRIME)
     try:
+        ring = default_ring(prime)
+    except (AlgebraError, TypeError) as exc:
+        raise CliError("bad ring: %s" % exc)
+    try:
         scheme = FatPointScheme.from_json(data, prime)
     except (KeyError, AlgebraError) as exc:
         raise CliError("bad point scheme: %s" % exc)
-    ring = default_ring(prime)
     report = _base_report(args, "fatpoints")
     report["prime"] = prime
     report["input_degree"] = scheme.degree()
@@ -220,7 +233,10 @@ def cmd_embed(args):
         ideal = _load_ideal(data, args.prime)
         witness_data = None
     witness = None
-    ext0 = ideal.extend_ring(args.var)
+    try:
+        ext0 = ideal.extend_ring(args.var)
+    except AlgebraError as exc:
+        raise CliError("bad --var: %s" % exc)
     if witness_data is not None:
         witness = _load_ideal(witness_data, args.prime)
         if witness.ring.variables != ext0.ring.variables:
@@ -234,6 +250,13 @@ def cmd_embed(args):
     return EXIT_OK if step.passed() else EXIT_VERIFY
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0: %s" % text)
+    return value
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prime", type=int, default=None,
@@ -241,7 +264,7 @@ def build_parser():
                              "else %d)" % DEFAULT_PRIME)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all general choices")
-    common.add_argument("--bound", type=int, default=None,
+    common.add_argument("--bound", type=_nonnegative_int, default=None,
                         help="degree bound for Hilbert-function comparisons")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", default=None, help="write output here")

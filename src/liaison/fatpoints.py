@@ -5,25 +5,26 @@ reduces a chosen fat point two multiplicities at a time via a pair of
 Gorenstein links built from unions of lines.  Small objects (cone curves,
 local pieces) are handled by Groebner bases.  The large line arrangements
 of the links are tracked exactly in a plane-incidence table
-(`_Arrangement`): a line is a pair of planes of the products, the lines
-through a point are the pairs of planes through it, and every crossing is
-found by one 3x4 solve of a line against a plane, without testing the line
-pairs one by one.  Every genericity assumption is verified by rank
-computations and every claimed local ideal computed by an actual (small)
+(`_Arrangement`).  A plane is its canonical coefficient 4-vector from the
+moment it is drawn, and a polynomial is built only where an ideal is made.
+A line is a pair of planes of the products, keyed by its Plucker vector;
+the lines through a point are the pairs of planes through it, and every
+crossing is found by one 3x4 solve of a line against a plane, without
+testing the line pairs one by one.  Every genericity assumption is verified
+exactly and every claimed local ideal computed by an actual (small)
 Groebner calculation.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import modp
 from .ideals import GenericityError, HVector, Ideal, binom, normalize_point
 from .links import LinkChainReport, LinkStep, gorenstein_sum
-from .rings import AlgebraError, MonomialOrder, Polynomial, PolyRing
+from .rings import AlgebraError, PolyRing
 
 
 class ResourceLimitError(AlgebraError):
@@ -34,6 +35,9 @@ DEFAULT_PRIME = 32003
 MAX_CROSSING_PAIRS = 4_000_000
 # rounds of redrawing fresh planes at accidental concurrences in one link
 MAX_REDRAW_ROUNDS = 10
+# fresh draws of a grid's forms, and fresh seeds of a double step
+GRID_TRIES = 6
+DOUBLE_STEP_TRIES = 4
 # the three roles of a plane through a point: a factor of F, of Q, or of G
 # outside Q
 ROLES = ("L", "M", "N")
@@ -44,7 +48,7 @@ def default_ring(prime=DEFAULT_PRIME):
 
 
 # ---------------------------------------------------------------------------
-# points, lines, schemes
+# points and schemes
 
 @dataclass(frozen=True)
 class PointP3:
@@ -60,23 +64,6 @@ class PointP3:
 
     def __str__(self):
         return "[%s]" % ":".join(str(c) for c in self.coords)
-
-
-@dataclass(frozen=True)
-class LineP3:
-    """Line as the row space of two independent linear forms (RREF rows)."""
-
-    rows: tuple  # two canonical 4-tuples
-
-    @classmethod
-    def make(cls, v1, v2, prime):
-        red, pivots = modp.rref([list(v1), list(v2)], prime)
-        if len(pivots) != 2:
-            raise GenericityError("proportional forms do not cut a line")
-        return cls((tuple(red[0]), tuple(red[1])))
-
-    def ideal(self, ring):
-        return Ideal(ring, [ring.linear_form(r) for r in self.rows])
 
 
 @dataclass(frozen=True)
@@ -115,12 +102,9 @@ class FatPointScheme:
 class GridCurveSelection:
     """Cone curves C and D inside the line grid cut by two form products."""
 
-    point: PointP3
-    a_forms: list
+    a_forms: list           # plane vectors
     b_forms: list
     selected: list          # (i, j) index pairs defining C
-    lines_c: list
-    lines_d: list
     ideal_c: Ideal = None
     ideal_d: Ideal = None
 
@@ -148,29 +132,32 @@ def fat_point_ideal(ring, point, k):
     return Ideal(ring, gens)
 
 
-def general_forms_through(ring, point, count, seed, avoid=()):
-    """Seeded random linear forms vanishing at the point.
+def _on(v, point, p):
+    """True when the plane with coefficient vector v passes through the
+    point (a coordinate 4-tuple)."""
+    return (v[0] * point[0] + v[1] * point[1] + v[2] * point[2]
+            + v[3] * point[3]) % p == 0
 
-    Pairwise non-proportional, nonvanishing at every point in `avoid`;
-    raises GenericityError when the retry budget runs out.
+
+def general_forms_through(ring, point, count, seed, avoid=()):
+    """Seeded random planes through the point, as canonical vectors.
+
+    Each is the coefficient 4-vector of a linear form vanishing at the
+    point, scaled so that its first nonzero entry is 1.  Pairwise distinct,
+    off every point in `avoid`; raises GenericityError when the retry
+    budget runs out.
     """
     if count < 1:
         raise AlgebraError("need at least one form")
     rng = random.Random("forms:%s:%d" % (point, seed))
     p = ring.prime
-    out, keys = [], set()
+    out = []
     for _ in range(count):
         for _attempt in range(40):
-            f = _random_form_at(ring, point, rng)
-            v = _vec(f)
-            key = _canon_vec(v, p)
-            if key in keys:
+            v = _random_plane_at(point.coords, rng, p)
+            if v in out or any(_on(v, q.coords, p) for q in avoid):
                 continue
-            if any(sum(a * b for a, b in zip(v, q.coords)) % p == 0
-                   for q in avoid):
-                continue
-            keys.add(key)
-            out.append(f)
+            out.append(v)
             break
         else:
             raise GenericityError(
@@ -179,35 +166,15 @@ def general_forms_through(ring, point, count, seed, avoid=()):
     return out
 
 
-def _random_form_at(ring, point, rng):
-    p = ring.prime
-    pt = point.coords
+def _random_plane_at(pt, rng, p):
+    """Canonical vector of a random plane through the point pt."""
     j = next(i for i, c in enumerate(pt) if c % p)
     while True:
         coeffs = [rng.randrange(p) for _ in range(4)]
         s = sum(c * x for i, (c, x) in enumerate(zip(coeffs, pt)) if i != j) % p
         coeffs[j] = (-s * pow(pt[j], p - 2, p)) % p
         if any(coeffs):
-            return ring.linear_form(coeffs)
-
-
-def _vec(form):
-    """Coefficient 4-vector of a linear form."""
-    ring = form.ring
-    v = [0, 0, 0, 0]
-    for m, c in form.terms.items():
-        if sum(m) != 1:
-            raise AlgebraError("not a linear form: %s" % form)
-        v[m.index(1)] = c
-    return tuple(v)
-
-
-def _canon_vec(v, p):
-    for c in v:
-        if c % p:
-            inv = pow(c, p - 2, p)
-            return tuple((x * inv) % p for x in v)
-    raise AlgebraError("zero form")
+            return normalize_point(coeffs, p)
 
 
 # ---------------------------------------------------------------------------
@@ -231,42 +198,32 @@ def gorenstein_X_hvector_formula(n, a):
 # ---------------------------------------------------------------------------
 # grid curves
 
-def grid_curves(ring, point, na, nb=None, seed=0, tries=6, avoid=()):
+def grid_curves(ring, point, na, nb, seed=0, avoid=()):
     """Cone curves C, D inside the complete intersection of two products.
 
-    Builds products of `na` and `nb` general linear forms through the point
-    (nb defaults to na + 1), selects the triangular index pattern
-    {(i, j) : i + j <= m - 1} with m = min(na, nb) as C, and verifies
-    h_vector(I_C) = h_vector(I_D) = (1, 2, ..., m) and I_C, I_D inside the
-    m-th power of the point ideal, retrying with fresh forms on failure.
+    Builds products of `na` and `nb` general planes through the point,
+    selects the triangular index pattern {(i, j) : i + j <= m - 1} with
+    m = min(na, nb) as C, and verifies h_vector(I_C) = h_vector(I_D) =
+    (1, 2, ..., m) and I_C, I_D inside the m-th power of the point ideal,
+    retrying with fresh forms on failure.
     """
-    if nb is None:
-        nb = na + 1
     if na < 1 or nb < 1:
         raise AlgebraError("need positive form counts")
     m = min(na, nb)
     target = HVector(tuple(range(1, m + 1)))
     power = fat_point_ideal(ring, point, m)
-    p = ring.prime
-    for attempt in range(tries):
+    for attempt in range(GRID_TRIES):
         forms = general_forms_through(ring, point, na + nb,
                                       seed + 7919 * attempt, avoid)
         a_forms, b_forms = forms[:na], forms[na:]
-        a_vecs = [_vec(f) for f in a_forms]
-        b_vecs = [_vec(f) for f in b_forms]
         try:
-            lines = {(i, j): LineP3.make(a_vecs[i], b_vecs[j], p)
-                     for i in range(na) for j in range(nb)}
+            lines = _ci_lines(a_forms, b_forms, ring.prime)
         except GenericityError:
             continue
-        if len({ln.rows for ln in lines.values()}) != na * nb:
-            continue
-        selected = [(i, j) for i in range(na) for j in range(nb)
-                    if i + j <= m - 1]
-        lines_c = [lines[ij] for ij in selected]
-        lines_d = [lines[ij] for ij in sorted(set(lines) - set(selected))]
-        ideal_c = _lines_ideal(ring, lines_c)
-        ideal_d = _lines_ideal(ring, lines_d)
+        selected = [(i, j) for i, j in lines if i + j <= m - 1]
+        ideal_c = _lines_ideal(ring, [lines[ij] for ij in selected])
+        ideal_d = _lines_ideal(ring, [key for (i, j), key in lines.items()
+                                      if i + j > m - 1])
         if ideal_c.h_vector().entries != target.entries:
             continue
         if ideal_d.h_vector().entries != target.entries:
@@ -274,18 +231,18 @@ def grid_curves(ring, point, na, nb=None, seed=0, tries=6, avoid=()):
         if not (power.contains_ideal(ideal_c)
                 and power.contains_ideal(ideal_d)):
             continue
-        sel = GridCurveSelection(point, a_forms, b_forms, selected,
-                                 lines_c, lines_d, ideal_c, ideal_d)
-        return sel
+        return GridCurveSelection(a_forms, b_forms, selected, ideal_c,
+                                  ideal_d)
     raise GenericityError(
         "no grid selection passed the h-vector check (this should not "
         "happen; the triangular pattern is always admissible)")
 
 
-def _lines_ideal(ring, lines):
+def _lines_ideal(ring, keys):
+    """Ideal of a union of lines, each given by its Plucker vector."""
     out = None
-    for ln in lines:
-        li = ln.ideal(ring)
+    for key in keys:
+        li = Ideal(ring, [ring.linear_form(r) for r in _line_rows(key)])
         out = li if out is None else out.intersect(li)
     return out
 
@@ -369,19 +326,55 @@ def _check_budget(nf, nq, ng, nc, budget):
 def _ci_lines(f_vecs, g_vecs, p):
     """Lines of the complete intersection of two products of planes.
 
-    Returns {(F index, G index): line}, row-major.  Verifies every (f, g)
-    pair independent and all lines distinct, which certifies the complete
-    intersection is the reduced union of the lines.
+    Returns {(F index, G index): Plucker vector}, row-major.  The Plucker
+    vector of planes u, v is their six 2x2 minors (01, 02, 03, 12, 13, 23),
+    scaled so that the first nonzero entry is 1.  It is the wedge u ^ v, so
+    it is zero exactly when u and v are proportional; otherwise it fixes
+    the span of u and v, the linear forms vanishing on the line they cut,
+    so two pairs get the same vector exactly when they cut the same line.
+
+    Raises GenericityError unless every pair cuts a line and the lines are
+    pairwise distinct, which certifies that CI(F, G) is the reduced union
+    of its lines: no F plane is a G plane, so F and G share no factor and
+    (F, G) is a complete intersection of degree |F| * |G|, unmixed, inside
+    the ideal of the union of the |F| * |G| distinct lines, which has the
+    same degree; so the two are equal.
     """
     out, seen = {}, set()
-    for i, fv in enumerate(f_vecs):
-        for g, gv in enumerate(g_vecs):
-            ln = LineP3.make(fv, gv, p)
-            if ln.rows in seen:
+    for i, u in enumerate(f_vecs):
+        for g, v in enumerate(g_vecs):
+            m = (u[0] * v[1] - u[1] * v[0], u[0] * v[2] - u[2] * v[0],
+                 u[0] * v[3] - u[3] * v[0], u[1] * v[2] - u[2] * v[1],
+                 u[1] * v[3] - u[3] * v[1], u[2] * v[3] - u[3] * v[2])
+            if not any(c % p for c in m):
+                raise GenericityError("proportional forms do not cut a line")
+            key = normalize_point(m, p)
+            if key in seen:
                 raise GenericityError("coincident lines in the intersection")
-            seen.add(ln.rows)
-            out[i, g] = ln
+            seen.add(key)
+            out[i, g] = key
     return out
+
+
+_MINORS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _line_rows(key):
+    """The reduced row echelon basis of the planes through a line, read off
+    its Plucker vector (see `_ci_lines`).
+
+    The pivot columns (a, b) of the echelon rows r, s are the first pair
+    with a nonzero minor, and their (a, b) minor is 1, as in the scaled
+    vector.  With w_ij the minor of columns i, j (w_ji = -w_ij), row r is
+    (w_cb)_c and row s is (w_ac)_c; so the ideal of a line gets the same
+    generators, and the same Groebner work, however its planes were drawn.
+    """
+    w = {}
+    for (i, j), c in zip(_MINORS, key):
+        w[i, j], w[j, i] = c, -c
+    a, b = next(ij for ij, c in zip(_MINORS, key) if c)
+    return (tuple(w.get((c, b), 0) for c in range(4)),
+            tuple(w.get((a, c), 0) for c in range(4)))
 
 
 def _meet(m, w, p):
@@ -406,10 +399,11 @@ class _Arrangement:
     """Plane-incidence table of one link: Y and W as lines of CI(F, G).
 
     `planes` are the F, Q and N' vectors of `_link_planes`, and G is Q then
-    N'.  A line is the pair (F index, G index) of its planes.  Y is the
-    (F, Q) lines row-major, then the cone lines (a_i, b_j) for the grid's
-    `selected` (i, j), in that order; W is the rest of CI(F, G), row-major.
-    The lines through a point are the pairs of planes through it.
+    N'.  A line is the pair (F index, G index) of its planes, and `lines`
+    maps it to its Plucker vector (`_ci_lines`).  Y is the (F, Q) lines
+    row-major, then the cone lines (a_i, b_j) for the grid's `selected`
+    (i, j), in that order; W is the rest of CI(F, G), row-major.  The lines
+    through a point are the pairs of planes through it.
     """
 
     def __init__(self, planes, selected, p):
@@ -426,9 +420,7 @@ class _Arrangement:
 
     def planes_through(self, point):
         """(F, Q, N') index sets of the planes through the point."""
-        p = self.p
-        return tuple({n for n, v in enumerate(vecs)
-                      if sum(a * b for a, b in zip(v, point)) % p == 0}
+        return tuple({n for n, v in enumerate(vecs) if _on(v, point, self.p)}
                      for vecs in self.planes)
 
     def lines_through(self, on):
@@ -490,10 +482,7 @@ class _Arrangement:
         cut_by = {}
         for i, g in self.y:
             own = ((0, i), (1, g) if g < nq else (2, g - nq))
-            u, v = (self.planes[role][n] for role, n in own)
-            m = (u[0] * v[1] - u[1] * v[0], u[0] * v[2] - u[2] * v[0],
-                 u[0] * v[3] - u[3] * v[0], u[1] * v[2] - u[2] * v[1],
-                 u[1] * v[3] - u[3] * v[1], u[2] * v[3] - u[3] * v[2])
+            m = self.lines[i, g]
             for cut in (cone_cuts if own[1][0] == 2 else n_cuts):
                 if cut not in own:
                     x = _meet(m, self.planes[cut[0]][cut[1]], p)
@@ -520,10 +509,10 @@ class _Arrangement:
         return counts, {x: n for _, _, x, n in found}, on
 
 
-def _product(ring, forms):
+def _product(ring, vecs):
     out = ring.one()
-    for f in forms:
-        out = out * f
+    for v in vecs:
+        out = out * ring.linear_form(v)
     return out
 
 
@@ -537,17 +526,16 @@ def _link_planes(sel, fat_forms, aux):
     grid's b-forms and the N planes; G is Q then N'.  Also returns the
     fresh planes: {(role, index): (position of R_k in aux, role, R_k)}.
     """
-    planes = ([_vec(f) for f in sel.a_forms], [],
-              [_vec(f) for f in sel.b_forms])
+    planes = (list(sel.a_forms), [], list(sel.b_forms))
     for triple in fat_forms.values():
-        for role, forms in enumerate(triple):
-            planes[role].extend(map(_vec, forms))
+        for role, vecs in enumerate(triple):
+            planes[role].extend(vecs)
     fresh = {}
     for pos, (q, triple) in enumerate(aux.items()):
-        for role, forms in enumerate(triple):
-            for f in forms:
+        for role, vecs in enumerate(triple):
+            for v in vecs:
                 fresh[role, len(planes[role])] = (pos, role, q)
-                planes[role].append(_vec(f))
+                planes[role].append(v)
     return planes, fresh
 
 
@@ -568,8 +556,8 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
     """One link of the two-link procedure, on tracked line sets.
 
     focus: the PointP3 being reduced; sel: its GridCurveSelection;
-    fat_forms: {point: (L forms, M forms, N forms)} for the other fat
-    points; aux: the same for the auxiliary reduced points R_k, listing
+    fat_forms: {point: (L planes, M planes, N planes)} for the other fat
+    points, as plane vectors; aux: the same for the auxiliary reduced points R_k, listing
     only their fresh planes (see _auxiliary_planes); z_local: {point key:
     Ideal} local pieces of the scheme being linked (absent key = no
     component).  Returns the local pieces of the residual, the points of
@@ -602,23 +590,22 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
         planes, fresh = _link_planes(sel, fat_forms, aux)
         f_vecs, q_vecs, n_vecs = planes
         nq = len(q_vecs)
-        _check_budget(len(f_vecs), nq, nq + len(n_vecs), len(sel.lines_c),
+        _check_budget(len(f_vecs), nq, nq + len(n_vecs), len(sel.selected),
                       budget)
-        canon_f = {_canon_vec(v, p) for v in f_vecs}
-        canon_g = {_canon_vec(v, p) for v in q_vecs + n_vecs}
+        # plane vectors are canonical, so equal planes have equal vectors
+        set_f, set_g = set(f_vecs), set(q_vecs + n_vecs)
         checks = {
-            "factor_planes_distinct": (len(canon_f) == len(f_vecs)
-                                       and len(canon_g) == nq + len(n_vecs)
-                                       and not (canon_f & canon_g)),
+            "factor_planes_distinct": (len(set_f) == len(f_vecs)
+                                       and len(set_g) == nq + len(n_vecs)
+                                       and not (set_f & set_g)),
         }
         if not checks["factor_planes_distinct"]:
             raise GenericityError("coincident planes among the products")
 
         # Y = cone curve C plus the complete intersection of F and Q
         arr = _Arrangement(planes, sel.selected, p)
-        checks["Y_inside_CI"] = all(
-            arr.lines[i, nq + j].rows == ln.rows
-            for (i, j), ln in zip(sel.selected, sel.lines_c))
+        checks["Y_inside_CI"] = all((i, nq + j) in arr.lines
+                                    for i, j in sel.selected)
         checks["degree_partition"] = (
             len(arr.y) + len(arr.w) == len(arr.lines))
 
@@ -743,12 +730,11 @@ def _auxiliary_planes(ring, rk_objs, fat_forms, tracked, seed):
     R_k raise GenericityError.
     """
     p = ring.prime
-    reused = [[_vec(f) for triple in fat_forms.values() for f in triple[role]]
+    reused = [[v for triple in fat_forms.values() for v in triple[role]]
               for role in range(3)]
     out = {}
     for q in rk_objs:
-        through = [sum(1 for v in vecs
-                       if sum(a * b for a, b in zip(v, q.coords)) % p == 0)
+        through = [sum(1 for v in vecs if _on(v, q.coords, p))
                    for vecs in reused]
         if max(through) > 1:
             raise GenericityError(
@@ -757,10 +743,10 @@ def _auxiliary_planes(ring, rk_objs, fat_forms, tracked, seed):
         triple = ([], [], [])
         open_roles = [role for role in range(3) if not through[role]]
         if open_roles:
-            forms = general_forms_through(ring, q, len(open_roles), seed,
-                                          [r for r in tracked if r != q])
-            for role, f in zip(open_roles, forms):
-                triple[role].append(f)
+            vecs = general_forms_through(ring, q, len(open_roles), seed,
+                                         [r for r in tracked if r != q])
+            for role, v in zip(open_roles, vecs):
+                triple[role].append(v)
         out[q] = triple
     return out
 
@@ -773,7 +759,7 @@ def _scheme_data(scheme, focus_index):
 
 
 def theorem32_double_step(scheme, focus_index=0, seed=0, ring=None,
-                          budget=MAX_CROSSING_PAIRS, tries=4):
+                          budget=MAX_CROSSING_PAIRS):
     """Two Gorenstein links reducing the focus multiplicity by two.
 
     Reduces the focus fat point from multiplicity a to a - 2 (gone when
@@ -783,7 +769,8 @@ def theorem32_double_step(scheme, focus_index=0, seed=0, ring=None,
 
     A genericity failure of either link (a concurrence of planes in the
     first link, a failed certificate, redraw rounds run out) starts over
-    with every form drawn from the next seed, at most `tries` times; the
+    with every form drawn from the next seed, at most DOUBLE_STEP_TRIES
+    times; the
     verdict step records the seed that succeeded.  A line arrangement beyond
     `budget` raises ResourceLimitError before it is built; for the first
     link, whose size the scheme fixes, before any form is drawn.
@@ -791,14 +778,14 @@ def theorem32_double_step(scheme, focus_index=0, seed=0, ring=None,
     if ring is None:
         ring = default_ring()
     last = None
-    for attempt in range(tries):
+    for attempt in range(DOUBLE_STEP_TRIES):
         try:
             return _double_step_once(scheme, focus_index, seed + 811 * attempt,
                                      ring, budget)
         except GenericityError as exc:
             last = exc
     raise GenericityError("double step failed after %d seeds: %s"
-                          % (tries, last))
+                          % (DOUBLE_STEP_TRIES, last))
 
 
 def _double_step_once(scheme, focus_index, seed, ring, budget):
@@ -869,10 +856,10 @@ def _double_step_once(scheme, focus_index, seed, ring, budget):
     else:
         checks["focus_is_power_a_minus_2"] = (
             zpp_focus == fat_point_ideal(ring, focus, a - 2))
-    for pt, b in others:
-        piece = res2.get(pt.coords)
-        checks["original_fat_point_at_%s" % pt] = (
-            piece == fat_point_ideal(ring, pt, b))
+    restored = {pt: res2.get(pt.coords) == fat_point_ideal(ring, pt, b)
+                for pt, b in others}
+    for pt, ok in restored.items():
+        checks["original_fat_point_at_%s" % pt] = ok
     checks["no_components_at_Rk"] = all(q.coords not in res2 for q in rk_objs)
     # leftover pieces at auxiliary points, if any, may still be reduced
     rk_left = {}
@@ -894,21 +881,13 @@ def _double_step_once(scheme, focus_index, seed, ring, budget):
         checks=checks,
     ))
 
-    assembled = True
-    points = []
-    if a > 2:
-        points.append((focus, a - 2))
-    for pt, b in others:
-        if res2.get(pt.coords) != fat_point_ideal(ring, pt, b):
-            assembled = False
-    points += [(pt, b) for pt, b in others]
-    for q, is_red in rk_left.items():
-        if is_red:
-            points.append((q, 1))
-        else:
-            assembled = False
-    for k in new_keys:
-        points.append((PointP3(k), 1))
+    # _tracked_link certifies that every R_k drops, so rk_left is empty and
+    # Z'' fails to assemble only when another fat point is not restored
+    assembled = all(restored.values()) and all(rk_left.values())
+    points = [(focus, a - 2)] if a > 2 else []
+    points += others
+    points += [(q, 1) for q in rk_left]
+    points += [(PointP3(k), 1) for k in new_keys]
     report.result = FatPointScheme(tuple(points)) if assembled else None
     return report
 
@@ -939,8 +918,8 @@ def reduce_to_reduced(scheme, seed=0, ring=None, budget=MAX_CROSSING_PAIRS):
         report.steps.extend(sub.steps)
         if sub.result is None:
             raise AlgebraError(
-                "double step left a non-reduced auxiliary component; "
-                "the reduction loop cannot absorb it")
+                "double step did not restore every other fat point; "
+                "the reduction loop cannot continue")
         current = sub.result
         links += 2
         rounds += 1

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import modp
 from .groebner import (buchberger, hilbert_function_from_numerator,
-                       monomial_hilbert_numerator, normal_forms, reducer)
-from .rings import (AlgebraError, RingMismatchError, DEGREVLEX, MonomialOrder,
+                       monomial_hilbert_numerator, reducer)
+from .rings import (AlgebraError, RingMismatchError, MonomialOrder,
                     Polynomial, PolyRing, mono_div, mono_divides)
 
 
@@ -41,9 +41,6 @@ class HVector:
 
     def __getitem__(self, i):
         return self.entries[i]
-
-    def total(self):
-        return sum(self.entries)
 
     def is_symmetric(self):
         return self.entries == tuple(reversed(self.entries))
@@ -751,16 +748,3 @@ def _minimal_polynomial(x, nf):
                      [c * inv % p for c in comb]))
         power = nf(power * x)
         k += 1
-
-
-def _mult_matrix(g, gb, std, ring):
-    """Matrix of multiplication by g on the quotient, in the basis std."""
-    index = {m: i for i, m in enumerate(std)}
-    cols = []
-    for nf in normal_forms([g * ring.monomial(m) for m in std], gb):
-        col = [0] * len(std)
-        for mm, c in nf.terms.items():
-            col[index[mm]] = c
-        cols.append(col)
-    # cols[j][i] is entry (i, j)
-    return [[cols[j][i] for j in range(len(std))] for i in range(len(std))]

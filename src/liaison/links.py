@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .ideals import GenericityError, Ideal, _random_linear_form
-from .rings import AlgebraError, Polynomial
+from .ideals import GenericityError, Ideal
+from .rings import AlgebraError
 
 
 @dataclass
@@ -52,17 +52,6 @@ class LinkChainReport:
 
     def to_json(self):
         return {"ok": self.ok(), "steps": [s.to_json() for s in self.steps]}
-
-    def narrative(self):
-        lines = []
-        for i, s in enumerate(self.steps, 1):
-            status = "ok" if s.passed() else "FAILED"
-            lines.append("step %d [%s] %s: %s" % (i, status, s.kind,
-                                                  s.description))
-            for name, val in s.checks.items():
-                lines.append("    %s: %s" % (name, "pass" if val else "fail"))
-        lines.append("chain verdict: %s" % ("ok" if self.ok() else "FAILED"))
-        return "\n".join(lines)
 
 
 def is_complete_intersection_gens(ideal):
@@ -141,7 +130,7 @@ def gorenstein_sum(cm1, cm2, seed=0):
     return total, cert
 
 
-def lemma_key_link(ideal, f, other, report=None):
+def lemma_key_link(ideal, f, other):
     """Verify the colon identity (I + f·J) : (I, f) = J step by step.
 
     Requires f a homogeneous non-constant element regular on R/I with
@@ -176,8 +165,6 @@ def lemma_key_link(ideal, f, other, report=None):
         data={"f": str(f), "combined": [str(g) for g in combined.generators]},
         checks=checks,
     )
-    if report is not None:
-        report.add(step)
     return combined, step
 
 

@@ -60,9 +60,6 @@ class PrimeField:
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("division by zero in field")
@@ -250,12 +247,11 @@ class PolyRing:
 
     # -- ring surgery --------------------------------------------------------
 
-    def extend(self, name, order=None):
+    def extend(self, name):
         """Ring with one appended variable."""
         if name in self._index:
             raise AlgebraError("variable %r already present" % (name,))
-        return PolyRing(self.variables + (name,), self.prime,
-                        order if order is not None else self.order)
+        return PolyRing(self.variables + (name,), self.prime, self.order)
 
     def drop(self, name):
         """Ring without the named variable."""

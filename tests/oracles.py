@@ -8,18 +8,17 @@ quotient, instead of one stripped Groebner basis, the affine chart of a
 scheme by Buchberger on the dehomogenized generators, instead of the
 dehomogenized projective basis, and reducedness by the characteristic
 polynomial of a random multiplier, instead of the minimal polynomials of
-the coordinates, and the crossings of two line sets by testing every pair
-of lines, instead of reading them off the planes through each point.
+the coordinates, lines as the RREF rows of their two planes, instead of
+their Plucker vectors, and the crossings of two line sets by testing every
+pair of lines, instead of reading them off the planes through each point.
 """
 
-import itertools
 import random
 
 from liaison import modp
-from liaison.groebner import buchberger
+from liaison.groebner import buchberger, normal_forms
 from liaison.ideals import (GenericityError, Ideal, _exact_div,
-                            _mult_matrix, _random_linear_form,
-                            normalize_point)
+                            _random_linear_form, normalize_point)
 from liaison.rings import Polynomial, mono_divides
 
 
@@ -186,6 +185,19 @@ def affine_basis_by_dehomogenizing(ideal, coeffs):
                             for g in ideal.generators])
 
 
+def mult_matrix(g, gb, std, ring):
+    """Matrix of multiplication by g on the quotient, in the basis std."""
+    index = {m: i for i, m in enumerate(std)}
+    cols = []
+    for nf in normal_forms([g * ring.monomial(m) for m in std], gb):
+        col = [0] * len(std)
+        for mm, c in nf.terms.items():
+            col[index[mm]] = c
+        cols.append(col)
+    # cols[j][i] is entry (i, j)
+    return [[cols[j][i] for j in range(len(std))] for i in range(len(std))]
+
+
 def reduced_by_charpoly(ideal, seed):
     """Reducedness of a zero-dimensional scheme, one-sided: True when a
     random linear multiplier on the chart `_affine_algebra(seed)` picks has
@@ -196,7 +208,7 @@ def reduced_by_charpoly(ideal, seed):
     for attempt in range(2):
         rng = random.Random("red:%d:%d" % (seed, attempt))
         lam = _random_linear_form(aff, rng)
-        chi = modp.charpoly(_mult_matrix(lam, gb, std, aff), aff.prime)
+        chi = modp.charpoly(mult_matrix(lam, gb, std, aff), aff.prime)
         if modp.is_squarefree(chi, aff.prime):
             return True
     return False
@@ -223,10 +235,18 @@ def det4(r0, r1, r2, r3):
             + m12 * n03 - m13 * n02 + m23 * n01)
 
 
+def line_rows(u, v, p):
+    """The line cut by the planes u and v, as the two RREF rows of the
+    pair; raises GenericityError when the planes are proportional."""
+    red, pivots = modp.rref([list(u), list(v)], p)
+    if len(pivots) != 2:
+        raise GenericityError("proportional forms do not cut a line")
+    return tuple(red[0]), tuple(red[1])
+
+
 def meet_point(y, w, p):
-    """Common point of two crossing lines, or None when skew."""
-    rows = [list(y.rows[0]), list(y.rows[1]), list(w.rows[0]), list(w.rows[1])]
-    ker = modp.nullspace(rows, p)
+    """Common point of two crossing lines (row pairs), or None when skew."""
+    ker = modp.nullspace([list(r) for r in y + w], p)
     if not ker:
         return None
     if len(ker) != 1:
@@ -237,16 +257,17 @@ def meet_point(y, w, p):
 def sweep_crossings(lines_y, lines_w, special, p):
     """Classify every crossing of a Y-line with a W-line, pair by pair.
 
-    Returns (counts at special points, {other crossing point: pair count}),
-    the latter in the order the sweep first meets each point.  Every pair
-    is tested exactly (4x4 determinant).
+    The lines are `line_rows` pairs.  Returns (counts at special points,
+    {other crossing point: pair count}), the latter in the order the sweep
+    first meets each point.  Every pair is tested exactly (4x4
+    determinant).
     """
     special_counts = {k: 0 for k in special}
     elsewhere = {}
-    wl = [(w, w.rows[0], w.rows[1]) for w in lines_w]
     for y in lines_y:
-        r0, r1 = y.rows
-        for w, r2, r3 in wl:
+        r0, r1 = y
+        for w in lines_w:
+            r2, r3 = w
             if det4(r0, r1, r2, r3) % p:
                 continue
             pt = meet_point(y, w, p)

@@ -61,6 +61,34 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["nosuchcommand", str(bad)]) == EXIT_PARSE
 
 
+GOOD = ideal_obj("xyzw", ["x^2 + y*z", "x*y*z + w^3"])
+POINT = {"points": [{"coords": [1, 0, 0, 0], "mult": 2}]}
+CONFIG_ERRORS = {
+    "hvector_prime_4": (["hvector", "--prime", "4"], GOOD),
+    "ring_without_vars": (["hvector"], {"ring": {"prime": 32003},
+                                        "generators": ["x"]}),
+    "duplicate_vars": (["hvector"], ideal_obj("xyx", ["x*y"])),
+    "ring_not_an_object": (["hvector"], {"ring": 5, "generators": ["x"]}),
+    "input_not_an_object": (["hvector"], [1, 2]),
+    "negative_exponent": (["hvector"], {"ring": {"vars": ["x", "y"]},
+                                        "monomials": [[-1, 2]]}),
+    "fatpoints_prime_4": (["fatpoints", "--prime", "4"], POINT),
+    "embed_var_taken": (["embed", "--var", "w"], GOOD),
+    "lift_negative_bound": (["lift", "--bound", "-3"],
+                            {"ring": {"vars": ["x", "y"]},
+                             "monomials": [[2, 0], [0, 2]]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_ERRORS))
+def test_configuration_error_exit_code(tmp_path, capsys, name):
+    (command, *flags), obj = CONFIG_ERRORS[name]
+    argv = [command, write(tmp_path, "input.json", obj)] + flags
+    assert main(argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+
+
 def test_lemma_identity_link(tmp_path, capsys):
     path = write(tmp_path, "lemma.json", {
         "ideal": ideal_obj("xyz", ["x*y"]),

@@ -1,12 +1,14 @@
 """Fat point machinery: formulas, grids, link steps, full reduction."""
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liaison import fatpoints, modp
 from liaison.fatpoints import (MAX_REDRAW_ROUNDS, ROLES, FatPointScheme,
-                               GridCurveSelection, LineP3, PointP3,
+                               GridCurveSelection, PointP3,
                                ResourceLimitError,
                                default_ring, fat_point_ideal,
                                fatpoint_hvector_formula,
@@ -18,7 +20,7 @@ from liaison.fatpoints import (MAX_REDRAW_ROUNDS, ROLES, FatPointScheme,
 from liaison.ideals import GenericityError, Ideal, normalize_point
 from liaison.rings import AlgebraError, PolyRing
 
-from .oracles import sweep_crossings
+from .oracles import line_rows, sweep_crossings
 
 P = 32003
 RING = default_ring()
@@ -35,7 +37,10 @@ def test_point_normalization():
 
 def test_line_requires_independent_forms():
     with pytest.raises(GenericityError):
-        LineP3.make((1, 0, 0, 0), (2, 0, 0, 0), P)
+        fatpoints._ci_lines([(1, 0, 0, 0)], [(2, 0, 0, 0)], P)
+    # x0 = x1 = 0 twice
+    with pytest.raises(GenericityError):
+        fatpoints._ci_lines([(1, 0, 0, 0), (1, 1, 0, 0)], [(0, 1, 0, 0)], P)
 
 
 def test_scheme_rejects_duplicates_and_bad_multiplicities():
@@ -85,11 +90,12 @@ def test_gorenstein_formula_is_symmetric():
 def test_general_forms_through_point():
     forms = general_forms_through(RING, ORIGIN, 3, seed=9, avoid=[OTHER])
     assert len(forms) == 3
-    for f in forms:
+    for v in forms:
+        f = RING.linear_form(v)
         assert f.evaluate(ORIGIN.coords) == 0
         assert f.evaluate(OTHER.coords) != 0
     again = general_forms_through(RING, ORIGIN, 3, seed=9, avoid=[OTHER])
-    assert [str(f) for f in forms] == [str(f) for f in again]
+    assert forms == again
 
 
 @pytest.mark.parametrize("a", [2, 3])
@@ -136,9 +142,9 @@ def test_reduce_single_fat_point_takes_two_links():
 
 
 def test_auxiliary_planes_fill_only_open_roles():
-    x0, x1, x2, x3 = (RING.variable(v) for v in RING.variables)
+    x0, x1, x2, x3 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     # reused planes of the other fat point [0:1:0:0]
-    fat_forms = {OTHER: ([x2, x3], [x0], [x0 + x2 + x3])}
+    fat_forms = {OTHER: ([x2, x3], [x0], [(1, 0, 1, 1)])}
     on_m = PointP3.make([0, 0, 1, 5])      # on the M plane only
     on_none = PointP3.make([1, 0, 3, 7])   # on no reused plane
     tracked = [ORIGIN, OTHER, on_m, on_none]
@@ -148,13 +154,13 @@ def test_auxiliary_planes_fill_only_open_roles():
     assert [len(forms) for forms in aux[on_none]] == [1, 1, 1]
     for q, triple in aux.items():
         for forms in triple:
-            for f in forms:
+            for f in map(RING.linear_form, forms):
                 assert f.evaluate(q.coords) == 0
                 assert all(f.evaluate(r.coords) != 0
                            for r in tracked if r != q)
     # a concurrence is redrawn on the first fresh plane through it, and
     # must lie on one: [0:1:0:0] lies on reused planes only
-    sel = GridCurveSelection(ORIGIN, [x1], [x1 + x2 + 2 * x3], [], [], [])
+    sel = GridCurveSelection([x1], [(0, 1, 1, 2)], [])
     planes, fresh = fatpoints._link_planes(sel, fat_forms, aux)
     arr = fatpoints._Arrangement(planes, [], P)
     key = fatpoints._fresh_plane_at(fresh, arr.planes_through(on_none.coords),
@@ -205,12 +211,12 @@ def _sweep_lines(planes, cone, p):
     """Y and W as line lists in sweep order, built from the planes alone:
     CI(F, Q) row-major and the cone lines, then the rest of CI(F, G)."""
     f_vecs, q_vecs, n_vecs = planes
-    lines_y = ([LineP3.make(f, q, p) for f in f_vecs for q in q_vecs]
-               + [LineP3.make(f_vecs[i], n_vecs[j], p) for i, j in cone])
-    in_y = {ln.rows for ln in lines_y}
-    lines_w = [ln for ln in (LineP3.make(f, n, p)
+    lines_y = ([line_rows(f, q, p) for f in f_vecs for q in q_vecs]
+               + [line_rows(f_vecs[i], n_vecs[j], p) for i, j in cone])
+    in_y = set(lines_y)
+    lines_w = [ln for ln in (line_rows(f, n, p)
                              for f in f_vecs for n in n_vecs)
-               if ln.rows not in in_y]
+               if ln not in in_y]
     return lines_y, lines_w
 
 
@@ -278,3 +284,41 @@ def test_crossings_match_the_pairwise_sweep_at_a_small_prime(data):
     except GenericityError:
         assume(False)
     _assert_matches_sweep(arr, cone, special, arr.crossings(special))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_plucker_keys_match_the_rref_rows(data):
+    f_vecs = data.draw(st.lists(PLANE, min_size=1, max_size=3))
+    g_vecs = data.draw(st.lists(PLANE, min_size=1, max_size=3))
+    # planes spanned by the first pair: each cuts its line with the other
+    # plane of the pair, or is proportional to it
+    u, v = f_vecs[0], g_vecs[0]
+    for side in data.draw(st.lists(st.sampled_from((f_vecs, g_vecs)),
+                                   max_size=2)):
+        a, b = data.draw(st.tuples(*[st.integers(0, SMALL - 1)] * 2))
+        mix = tuple((a * x + b * y) % SMALL for x, y in zip(u, v))
+        if any(mix):
+            side.append(mix)
+    rows = {}
+    for (i, f), (g, w) in itertools.product(enumerate(f_vecs),
+                                            enumerate(g_vecs)):
+        try:
+            rows[i, g] = line_rows(f, w, SMALL)
+        except GenericityError:
+            with pytest.raises(GenericityError):
+                fatpoints._ci_lines([f], [w], SMALL)
+    every = len(f_vecs) * len(g_vecs)
+    if len(rows) < every or len(set(rows.values())) < len(rows):
+        with pytest.raises(GenericityError):
+            fatpoints._ci_lines(f_vecs, g_vecs, SMALL)
+    else:
+        assert list(fatpoints._ci_lines(f_vecs, g_vecs, SMALL)) == list(rows)
+    # pair by pair, equal keys are equal lines, and a key gives the rows
+    keys = {(i, g): fatpoints._ci_lines([f_vecs[i]], [g_vecs[g]], SMALL)[0, 0]
+            for i, g in rows}
+    for x, y in itertools.combinations(rows, 2):
+        assert (keys[x] == keys[y]) == (rows[x] == rows[y])
+    for ij, key in keys.items():
+        assert rows[ij] == tuple(tuple(c % SMALL for c in r)
+                                 for r in fatpoints._line_rows(key))

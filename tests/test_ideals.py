@@ -18,7 +18,7 @@ from liaison.rings import AlgebraError, PolyRing
 from .oracles import (affine_basis_by_dehomogenizing, ci_hilbert_numerator,
                       equal_by_reduced_bases, hilbert_by_counting,
                       membership_by_linear_algebra, quotient_by_elimination,
-                      random_form_through, random_homogeneous,
+                      mult_matrix, random_form_through, random_homogeneous,
                       reduced_by_charpoly, saturate_by_quotients)
 
 P = 32003
@@ -352,7 +352,7 @@ def _zero_dim_algebra(seed):
 def test_mult_matrix_matches_columnwise_normal_forms(seed):
     (aff, gb, std, _), rng = _zero_dim_algebra(seed)
     lam = ideals._random_linear_form(aff, rng)
-    matrix = ideals._mult_matrix(lam, gb, std, aff)
+    matrix = mult_matrix(lam, gb, std, aff)
     index = {m: i for i, m in enumerate(std)}
     assert len(std) == 6
     for j, m in enumerate(std):
@@ -360,20 +360,6 @@ def test_mult_matrix_matches_columnwise_normal_forms(seed):
         for mm, c in normal_form(lam * aff.monomial(m), gb).terms.items():
             col[index[mm]] = c
         assert [row[j] for row in matrix] == col
-
-
-def test_mult_matrix_prepares_the_reducers_once(monkeypatch):
-    (aff, gb, std, _), rng = _zero_dim_algebra(0)
-    calls = []
-    real = groebner._make_basis
-
-    def counting(polys, ring):
-        calls.append(1)
-        return real(polys, ring)
-
-    monkeypatch.setattr(groebner, "_make_basis", counting)
-    ideals._mult_matrix(ideals._random_linear_form(aff, rng), gb, std, aff)
-    assert len(calls) == 1
 
 
 # -- ring surgery ------------------------------------------------------------
@@ -607,7 +593,6 @@ def test_reducedness_computes_no_characteristic_polynomial(monkeypatch):
         raise AssertionError("not on the reducedness route")
 
     monkeypatch.setattr(modp, "charpoly", forbidden)
-    monkeypatch.setattr(ideals, "_mult_matrix", forbidden)
     lifted = lift_ideal(I3("x^3", "y^2", "z^2"))
     assert lifted.is_reduced_zero_dim(seed=0)
     assert not I3("y", "x^2").is_reduced_zero_dim(seed=0)
