@@ -305,8 +305,9 @@ def single_fatpoint_link_step(ring, point, a, seed=0):
 # ---------------------------------------------------------------------------
 # tracked line arrangements
 
-def _check_budget(nf, nq, ng, nc, budget):
-    """Refuse a line arrangement that exceeds the budget, before building it.
+def _check_budget(nf, nq, ng, nc):
+    """Refuse a line arrangement beyond MAX_CROSSING_PAIRS, before building
+    it.
 
     With nf, nq and ng planes in the products F, Q and G (Q inside G), the
     complete intersection CI(F, G) has nf * ng lines; Y is CI(F, Q) plus nc
@@ -314,11 +315,11 @@ def _check_budget(nf, nq, ng, nc, budget):
     cross.
     """
     n = nf * ng
-    if n > budget:
+    if n > MAX_CROSSING_PAIRS:
         raise ResourceLimitError(
             "line arrangement of %d lines exceeds the budget" % n)
     ny = nf * nq + nc
-    if ny * (n - ny) > budget:
+    if ny * (n - ny) > MAX_CROSSING_PAIRS:
         raise ResourceLimitError(
             "%d x %d line pairs exceed the crossing budget" % (ny, n - ny))
 
@@ -552,7 +553,7 @@ def _fresh_plane_at(fresh, on, point):
 
 
 def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
-                  stage, budget, seed=0):
+                  stage, seed=0):
     """One link of the two-link procedure, on tracked line sets.
 
     focus: the PointP3 being reduced; sel: its GridCurveSelection;
@@ -590,8 +591,7 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
         planes, fresh = _link_planes(sel, fat_forms, aux)
         f_vecs, q_vecs, n_vecs = planes
         nq = len(q_vecs)
-        _check_budget(len(f_vecs), nq, nq + len(n_vecs), len(sel.selected),
-                      budget)
+        _check_budget(len(f_vecs), nq, nq + len(n_vecs), len(sel.selected))
         # plane vectors are canonical, so equal planes have equal vectors
         set_f, set_g = set(f_vecs), set(q_vecs + n_vecs)
         checks = {
@@ -758,8 +758,7 @@ def _scheme_data(scheme, focus_index):
     return focus, a, others
 
 
-def theorem32_double_step(scheme, focus_index=0, seed=0, ring=None,
-                          budget=MAX_CROSSING_PAIRS):
+def theorem32_double_step(scheme, focus_index=0, seed=0, ring=None):
     """Two Gorenstein links reducing the focus multiplicity by two.
 
     Reduces the focus fat point from multiplicity a to a - 2 (gone when
@@ -770,25 +769,25 @@ def theorem32_double_step(scheme, focus_index=0, seed=0, ring=None,
     A genericity failure of either link (a concurrence of planes in the
     first link, a failed certificate, redraw rounds run out) starts over
     with every form drawn from the next seed, at most DOUBLE_STEP_TRIES
-    times; the
-    verdict step records the seed that succeeded.  A line arrangement beyond
-    `budget` raises ResourceLimitError before it is built; for the first
-    link, whose size the scheme fixes, before any form is drawn.
+    times; the verdict step records the seed that succeeded.  A line
+    arrangement beyond MAX_CROSSING_PAIRS raises ResourceLimitError before
+    it is built; for the first link, whose size the scheme fixes, before
+    any form is drawn.
     """
     if ring is None:
         ring = default_ring()
     last = None
     for attempt in range(DOUBLE_STEP_TRIES):
         try:
-            return _double_step_once(scheme, focus_index, seed + 811 * attempt,
-                                     ring, budget)
+            return _double_step_once(scheme, focus_index,
+                                     seed + 811 * attempt, ring)
         except GenericityError as exc:
             last = exc
     raise GenericityError("double step failed after %d seeds: %s"
                           % (DOUBLE_STEP_TRIES, last))
 
 
-def _double_step_once(scheme, focus_index, seed, ring, budget):
+def _double_step_once(scheme, focus_index, seed, ring):
     focus, a, others = _scheme_data(scheme, focus_index)
     if a < 2:
         raise AlgebraError("focus point must have multiplicity >= 2")
@@ -796,7 +795,7 @@ def _double_step_once(scheme, focus_index, seed, ring, budget):
     all_points = [pt for pt, _ in scheme.points]
     # the first link's plane counts are known before any form is drawn
     nb = sum(b for _, b in others)
-    _check_budget(a + nb, nb, 2 * nb + a + 1, a * (a + 1) // 2, budget)
+    _check_budget(a + nb, nb, 2 * nb + a + 1, a * (a + 1) // 2)
 
     # ---- first link -------------------------------------------------------
     sel1 = grid_curves(ring, focus, a, a + 1, seed=seed,
@@ -819,7 +818,7 @@ def _double_step_once(scheme, focus_index, seed, ring, budget):
     for pt, b in others:
         z_local[pt.coords] = fat_point_ideal(ring, pt, b)
     res1, rk_points, deg_z1 = _tracked_link(
-        ring, focus, sel1, fat_forms, {}, z_local, report, 1, budget)
+        ring, focus, sel1, fat_forms, {}, z_local, report, 1)
 
     # the focus component of Z' must be exactly the (a-1)-st power
     zp_focus = res1.get(focus.coords)
@@ -845,8 +844,7 @@ def _double_step_once(scheme, focus_index, seed, ring, budget):
         else:
             z2_local[k] = piece
     res2, new_points, deg_z2 = _tracked_link(
-        ring, focus, sel2, fat_forms, aux, z2_local, report, 2, budget,
-        seed + 53)
+        ring, focus, sel2, fat_forms, aux, z2_local, report, 2, seed + 53)
 
     # ---- final verification (the expected description of Z'') -------------
     checks = {}
@@ -860,46 +858,40 @@ def _double_step_once(scheme, focus_index, seed, ring, budget):
                 for pt, b in others}
     for pt, ok in restored.items():
         checks["original_fat_point_at_%s" % pt] = ok
-    checks["no_components_at_Rk"] = all(q.coords not in res2 for q in rk_objs)
-    # leftover pieces at auxiliary points, if any, may still be reduced
-    rk_left = {}
-    for q in rk_objs:
-        piece = res2.get(q.coords)
-        if piece is not None:
-            rk_left[q] = (piece == point_ideal(ring, q))
+    # the R_k that keep a component; _tracked_link certifies that every R_k
+    # drops, so none does, and no leftover is counted as reduced
+    leftovers = [q for q in rk_objs if q.coords in res2]
+    checks["no_components_at_Rk"] = not leftovers
+    checks["residue_reduced"] = not leftovers
     new_keys = [k for k, v in res2.items() if v == "reduced"]
-    checks["residue_reduced"] = all(rk_left.values())
     report.add(LinkStep(
         kind="double-step-verdict",
         description=("Z'' = focus power %d, original fat points, %d "
-                     "leftover auxiliary points (%d reduced), and %d new "
+                     "leftover auxiliary points (0 reduced), and %d new "
                      "reduced points"
-                     % (a - 2, len(rk_left), sum(rk_left.values()),
-                        len(new_keys))),
+                     % (a - 2, len(leftovers), len(new_keys))),
         data={"degree": deg_z2, "new_reduced_points": len(new_keys),
-              "auxiliary_leftovers": len(rk_left), "seed": seed},
+              "auxiliary_leftovers": len(leftovers), "seed": seed},
         checks=checks,
     ))
 
-    # _tracked_link certifies that every R_k drops, so rk_left is empty and
     # Z'' fails to assemble only when another fat point is not restored
-    assembled = all(restored.values()) and all(rk_left.values())
+    assembled = all(restored.values())
     points = [(focus, a - 2)] if a > 2 else []
     points += others
-    points += [(q, 1) for q in rk_left]
     points += [(PointP3(k), 1) for k in new_keys]
     report.result = FatPointScheme(tuple(points)) if assembled else None
     return report
 
 
-def reduce_to_reduced(scheme, seed=0, ring=None, budget=MAX_CROSSING_PAIRS):
+def reduce_to_reduced(scheme, seed=0, ring=None):
     """Iterate double steps until every point is reduced.
 
     Each fat point is reduced in place by pairs of links; every auxiliary
     point produced along the way joins the scheme as a reduced point.  The
     total link count is even.  Degrees grow very quickly with the number of
-    points, so a size budget bounds each line arrangement; exceeding it
-    raises ResourceLimitError.
+    points, so MAX_CROSSING_PAIRS bounds each line arrangement; exceeding
+    it raises ResourceLimitError.
     """
     if ring is None:
         ring = default_ring()
@@ -913,8 +905,7 @@ def reduce_to_reduced(scheme, seed=0, ring=None, budget=MAX_CROSSING_PAIRS):
         if focus_index is None:
             break
         sub = theorem32_double_step(current, focus_index,
-                                    seed=seed + 1009 * rounds,
-                                    ring=ring, budget=budget)
+                                    seed=seed + 1009 * rounds, ring=ring)
         report.steps.extend(sub.steps)
         if sub.result is None:
             raise AlgebraError(

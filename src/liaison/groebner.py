@@ -1,9 +1,17 @@
 """Buchberger Groebner engine with full reduction, and Hilbert numerators.
 
-Works on the dict representation from :mod:`liaison.rings`.  Pair handling
-uses the product (coprimality) criterion and the chain criterion, with a
-degree-by-degree (normal strategy) pair queue, so homogeneous inputs are
-processed degreewise.
+Works on the dict representation from :mod:`liaison.rings`.  A basis
+element, for Buchberger and for every reducer, has one form: the pair
+(leading monomial, monic tail dict), split once when the element joins.
+An S-polynomial then multiplies only the two tails, and a normal form
+reads each divisor's leading monomial off the pair.
+
+Pairs are pruned only where they are made, when an element joins: old
+pairs by the chain criterion (Gebauer and Moeller, J. Symbolic Comput. 6,
+1988), new pairs by the product (coprimality) criterion and by keeping
+only those with minimal lcm.  Skipping a pair is never needed for
+correctness.  The pair queue is degree-by-degree (normal strategy), so
+homogeneous inputs are processed degreewise.
 
 A caller that knows the Hilbert numerator of the ideal spanned by
 homogeneous generators may pass it (Traverso, J. Symbolic Comput. 22,
@@ -118,8 +126,16 @@ def hilbert_function_from_numerator(numerator, nvars, d):
 # ---------------------------------------------------------------------------
 # normal forms and Buchberger
 
+def _split(d, ring):
+    """The basis element of a nonzero dict: (leading monomial, monic tail)."""
+    lt = max(d, key=ring.order.key)
+    inv = ring.field.inv(d[lt])
+    p = ring.prime
+    return lt, {m: (c * inv) % p for m, c in d.items() if m != lt}
+
+
 def _reduce_dict(f, basis, ring):
-    """Full normal form of dict `f` against [(lt, terms)] monic `basis`.
+    """Full normal form of dict `f` against the basis elements `basis`.
 
     Deterministic: always reduces the largest reducible monomial, by the
     first listed divisor.  Returns a new dict.
@@ -131,24 +147,19 @@ def _reduce_dict(f, basis, ring):
     heap = [(_neg_key(key(m)), m) for m in work]
     heapq.heapify(heap)
     out = {}
-    lts = [b[0] for b in basis]
     while heap:
         _, m = heapq.heappop(heap)
-        c = work.get(m)
+        c = work.pop(m, 0)
         if not c:
             continue
-        red = None
-        for i, lt in enumerate(lts):
+        for lt, tail in basis:
             if mono_divides(lt, m):
-                red = i
                 break
-        if red is None:
+        else:
             out[m] = c
-            del work[m]
             continue
-        shift = mono_div(m, lts[red])
-        del work[m]
-        for mm, cc in basis[red][1].items():
+        shift = mono_div(m, lt)
+        for mm, cc in tail.items():
             t = mono_mul(mm, shift)
             s = (work.get(t, 0) - c * cc) % p
             if s:
@@ -165,21 +176,6 @@ def _neg_key(k):
     return tuple(-x if isinstance(x, int) else tuple(-y for y in x) for x in k)
 
 
-def _make_basis(polys, ring):
-    """[(leading monomial, tail-inclusive monic dict)] for reducers."""
-    field = ring.field
-    out = []
-    for g in polys:
-        if not g:
-            continue
-        lt = max(g, key=ring.order.key)
-        inv = field.inv(g[lt])
-        monic = {m: (c * inv) % ring.prime for m, c in g.items()}
-        tail = {m: c for m, c in monic.items() if m != lt}
-        out.append((lt, tail))
-    return out
-
-
 def normal_form(f, reducers):
     """Remainder of `f` on division by the listed polynomials.
 
@@ -188,25 +184,17 @@ def normal_form(f, reducers):
     """
     if not isinstance(f, Polynomial):
         raise AlgebraError("normal_form expects a Polynomial")
-    return normal_forms([f], reducers)[0]
-
-
-def normal_forms(polys, reducers):
-    """[normal_form(f, reducers) for f in polys], with the reducers
-    prepared once for the whole batch."""
-    polys = list(polys)
-    if not polys:
-        return []
-    return list(map(reducer(reducers, polys[0].ring), polys))
+    return reducer(reducers, f.ring)(f)
 
 
 def reducer(reducers, ring):
     """The map f -> normal_form(f, reducers) on `ring`, with the reducers
-    prepared once, for normal forms that are not known in advance."""
+    split into basis elements once, for normal forms that are not known in
+    advance."""
     for g in reducers:
         if g.ring != ring:
             raise AlgebraError("polynomials and reducers must share a ring")
-    basis = _make_basis([g.terms for g in reducers if g], ring)
+    basis = [_split(g.terms, ring) for g in reducers if g]
 
     def nf(f):
         if f.ring != ring:
@@ -218,28 +206,26 @@ def reducer(reducers, ring):
     return nf
 
 
-def _spoly_data(gi, gj, ring):
-    """S-polynomial of two monic dicts as a dict."""
+def _spoly_data(a, b, ring):
+    """S-polynomial of two basis elements as a dict.
+
+    Both are monic, so their leading terms cancel and only the tails are
+    multiplied.
+    """
     p = ring.prime
-    lti = max(gi, key=ring.order.key)
-    ltj = max(gj, key=ring.order.key)
-    lcm = mono_lcm(lti, ltj)
-    si = mono_div(lcm, lti)
-    sj = mono_div(lcm, ltj)
-    ci = ring.field.inv(gi[lti])
-    cj = ring.field.inv(gj[ltj])
-    out = {}
-    for m, c in gi.items():
-        t = mono_mul(m, si)
-        out[t] = (out.get(t, 0) + c * ci) % p
-    for m, c in gj.items():
-        t = mono_mul(m, sj)
-        s = (out.get(t, 0) - c * cj) % p
+    (lta, taila), (ltb, tailb) = a, b
+    lcm = mono_lcm(lta, ltb)
+    sa = mono_div(lcm, lta)
+    sb = mono_div(lcm, ltb)
+    out = {mono_mul(m, sa): c for m, c in taila.items()}
+    for m, c in tailb.items():
+        t = mono_mul(m, sb)
+        s = (out.get(t, 0) - c) % p
         if s:
             out[t] = s
-        elif t in out:
+        else:
             del out[t]
-    return {m: c for m, c in out.items() if c}
+    return out
 
 
 def buchberger(generators, numerator=None):
@@ -265,23 +251,19 @@ def buchberger(generators, numerator=None):
     key = ring.order.key
     n = ring.nvars
 
-    G = []          # list of monic dicts
-    lts = []        # leading monomials, parallel to G
-    tails = []      # (lt, tail dict) reducers, parallel to G
+    basis = []      # basis elements (lt, monic tail)
     pairs = []      # heap of (deg lcm, key(lcm), i, j, lcm)
 
-    def add_poly(d):
-        lt = max(d, key=key)
-        inv = ring.field.inv(d[lt])
-        d = {m: (c * inv) % ring.prime for m, c in d.items()}
-        t = len(G)
+    def add(element):
+        lt = element[0]
+        t = len(basis)
         # chain criterion: drop old pairs strictly superseded by the newcomer
         keep = []
         for entry in pairs:
             _, _, i, j, lcm = entry
             if (mono_divides(lt, lcm)
-                    and mono_lcm(lts[i], lt) != lcm
-                    and mono_lcm(lts[j], lt) != lcm):
+                    and mono_lcm(basis[i][0], lt) != lcm
+                    and mono_lcm(basis[j][0], lt) != lcm):
                 continue
             keep.append(entry)
         if len(keep) < len(pairs):
@@ -290,9 +272,9 @@ def buchberger(generators, numerator=None):
             heapq.heapify(pairs)
         # new pairs, pruned by the product criterion and mutual redundancy
         fresh = {}
-        for i in range(t):
-            lcm = mono_lcm(lts[i], lt)
-            if lcm == mono_mul(lts[i], lt):   # coprime leading terms
+        for i, (lti, _) in enumerate(basis):
+            lcm = mono_lcm(lti, lt)
+            if lcm == mono_mul(lti, lt):   # coprime leading terms
                 continue
             fresh[i] = lcm
         # among the new pairs keep only those with minimal lcm's
@@ -303,73 +285,42 @@ def buchberger(generators, numerator=None):
                     break
         for i, lcm in fresh.items():
             heapq.heappush(pairs, (sum(lcm), key(lcm), i, t, lcm))
-        G.append(d)
-        lts.append(lt)
-        tails.append((lt, {m: c for m, c in d.items() if m != lt}))
+        basis.append(element)
 
-    for g in sorted(gens, key=lambda g: key(g.leading_monomial())):
-        add_poly(dict(g.terms))
+    for element in sorted((_split(g.terms, ring) for g in gens),
+                          key=lambda e: key(e[0])):
+        add(element)
 
     g_num = None    # Hilbert numerator of in(G); None once G has grown
     while pairs:
         d = pairs[0][0]
         if numerator is not None:
             if g_num is None:
-                g_num = monomial_hilbert_numerator(lts, n)
+                g_num = monomial_hilbert_numerator([e[0] for e in basis], n)
             if (hilbert_function_from_numerator(g_num, n, d)
                     == hilbert_function_from_numerator(numerator, n, d)):
                 # G is complete in degree d: its pairs reduce to zero
                 while pairs and pairs[0][0] == d:
                     heapq.heappop(pairs)
                 continue
-        _, _, i, j, lcm = heapq.heappop(pairs)
-        # chain criterion at selection time
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if mono_divides(lts[k], lcm):
-                if (mono_lcm(lts[i], lts[k]) != lcm
-                        and mono_lcm(lts[j], lts[k]) != lcm):
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = _spoly_data(G[i], G[j], ring)
-        if not s:
-            continue
-        r = _reduce_dict(s, tails, ring)
+        _, _, i, j, _ = heapq.heappop(pairs)
+        r = _reduce_dict(_spoly_data(basis[i], basis[j], ring), basis, ring)
         if r:
-            add_poly(r)
+            add(_split(r, ring))
             g_num = None
 
-    return _interreduce(G, ring)
+    return _interreduce(basis, ring)
 
 
-def _interreduce(G, ring):
-    """Minimalize and tail-reduce a basis of monic dicts; sort ascending."""
-    key = ring.order.key
-    lts = [max(g, key=key) for g in G]
-    keep = []
-    for i, lt in enumerate(lts):
-        redundant = False
-        for j, lt2 in enumerate(lts):
-            if i == j:
-                continue
-            if mono_divides(lt2, lt) and (lt2 != lt or j < i):
-                redundant = True
-                break
-        if redundant:
-            continue
-        keep.append(i)
-    minimal = [(lts[i], G[i]) for i in keep]
-    reduced = []
-    for idx, (lt, g) in enumerate(minimal):
-        others = [(lt2, {m: c for m, c in g2.items() if m != lt2})
-                  for k, (lt2, g2) in enumerate(minimal) if k != idx]
-        r = _reduce_dict(dict(g), others, ring) if others else dict(g)
-        inv = ring.field.inv(r[lt])
-        r = {m: (c * inv) % ring.prime for m, c in r.items()}
-        reduced.append(Polynomial(ring, r))
-    reduced.sort(key=lambda f: key(f.leading_monomial()))
-    return reduced
+def _interreduce(basis, ring):
+    """Minimalize and tail-reduce a list of basis elements; return monic
+    polynomials sorted by increasing leading monomial."""
+    minimal = [(lt, tail) for i, (lt, tail) in enumerate(basis)
+               if not any(mono_divides(lt2, lt) and (lt2 != lt or j < i)
+                          for j, (lt2, _) in enumerate(basis) if j != i)]
+    minimal.sort(key=lambda e: ring.order.key(e[0]))
+    # no other minimal leading monomial divides lt, and every term the
+    # reduction makes is below lt, so lt keeps coefficient 1
+    return [Polynomial(ring, {lt: 1, **_reduce_dict(
+                tail, minimal[:i] + minimal[i + 1:], ring)})
+            for i, (lt, tail) in enumerate(minimal)]

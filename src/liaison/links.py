@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 from .ideals import GenericityError, Ideal
 from .rings import AlgebraError
 
+# seeded draws of a general CI before proper_ci_intersection_link gives up
+CI_LINK_TRIES = 24
+
 
 @dataclass
 class LinkStep:
@@ -204,20 +207,20 @@ def embed_and_link(ideal, witness=None, var="t"):
     return ext, residual, step
 
 
-def proper_ci_intersection_link(ideal, degrees, seed=0, tries=24):
+def proper_ci_intersection_link(ideal, degrees, seed=0):
     """Link by a general CI of the given degrees inside the ideal.
 
     Draws random homogeneous combinations of the generators until the
     chosen forms cut a complete intersection whose link is geometric.
-    Returns (ci ideal, residual); raises GenericityError when the budget
-    runs out.
+    Returns (ci ideal, residual); raises GenericityError after
+    CI_LINK_TRIES draws.
     """
     ring = ideal.ring
     c = ideal.codim()
     if len(degrees) != c:
         raise AlgebraError("need one degree per codimension")
     gens = list(ideal.generators)
-    for attempt in range(tries):
+    for attempt in range(CI_LINK_TRIES):
         rng = random.Random("cilink:%d:%d" % (seed, attempt))
         forms = []
         ok = True

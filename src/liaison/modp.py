@@ -37,10 +37,6 @@ def rref(rows, p):
     return rows[:r], pivots
 
 
-def rank(rows, p):
-    return len(rref(rows, p)[1])
-
-
 def nullspace(rows, p):
     """Basis of the right kernel of the matrix."""
     if not rows:

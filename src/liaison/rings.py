@@ -479,12 +479,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def monic(self):
-        if not self.terms:
-            return self
-        inv = self.ring.field.inv(self.leading_coeff())
-        return self * inv
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.terms == self.ring.constant(other).terms

@@ -1,12 +1,14 @@
 """Independent cross-checks used by several test modules.
 
 Everything here takes a different route from the code under test:
-membership by degree-truncated linear algebra, equality by fresh reduced
-bases, Hilbert functions by monomial counting, sympy as an external basis
-oracle, quotients through an elimination basis, saturation as an iterated
-quotient, instead of one stripped Groebner basis, the affine chart of a
-scheme by Buchberger on the dehomogenized generators, instead of the
-dehomogenized projective basis, and reducedness by the characteristic
+normal forms by plain division in Polynomial arithmetic, instead of the
+prepared reducers of the Groebner engine, membership by degree-truncated
+linear algebra, equality by fresh reduced bases, Hilbert functions by
+monomial counting, sympy as an external basis oracle, quotients through
+an elimination basis, saturation as an iterated quotient, instead of one
+stripped Groebner basis, the affine chart of a scheme by Buchberger on
+the dehomogenized generators, instead of the dehomogenized projective
+basis, and reducedness by the characteristic
 polynomial of a random multiplier, instead of the minimal polynomials of
 the coordinates, lines as the RREF rows of their two planes, instead of
 their Plucker vectors, and the crossings of two line sets by testing every
@@ -16,10 +18,10 @@ pair of lines, instead of reading them off the planes through each point.
 import random
 
 from liaison import modp
-from liaison.groebner import buchberger, normal_forms
+from liaison.groebner import buchberger, reducer
 from liaison.ideals import (GenericityError, Ideal, _exact_div,
                             _random_linear_form, normalize_point)
-from liaison.rings import Polynomial, mono_divides
+from liaison.rings import Polynomial, mono_div, mono_divides, mono_lcm
 
 
 def degree_monomials(n, d):
@@ -63,8 +65,46 @@ def membership_by_linear_algebra(f, generators, bound):
             continue
         for m in monomials_up_to(ring.nvars, gap):
             rows.append(vec(g * ring.monomial(m)))
-    base = modp.rank([r[:] for r in rows], p)
-    return modp.rank(rows + [vec(f)], p) == base
+    base = rank([r[:] for r in rows], p)
+    return rank(rows + [vec(f)], p) == base
+
+
+def divide(f, divisors):
+    """Remainder of f on plain division by the nonzero divisors.
+
+    The leading term of what is left is cancelled by the first divisor whose
+    leading monomial divides it, or else moved to the remainder; every step
+    is Polynomial arithmetic, with no prepared reducers.
+    """
+    ring = f.ring
+    p = ring.prime
+    rest, remainder = f, ring.zero()
+    while rest:
+        m, c = rest.leading_monomial(), rest.leading_coeff()
+        for g in divisors:
+            lt = g.leading_monomial()
+            if mono_divides(lt, m):
+                q = c * pow(g.leading_coeff(), p - 2, p)
+                rest = rest - ring.monomial(mono_div(m, lt), q) * g
+                break
+        else:
+            lead = ring.monomial(m, c)
+            remainder = remainder + lead
+            rest = rest - lead
+    return remainder
+
+
+def s_polynomial(f, g):
+    """lcm/lt(f) f / lc(f) - lcm/lt(g) g / lc(g), for nonzero f and g."""
+    ring = f.ring
+    p = ring.prime
+    lcm = mono_lcm(f.leading_monomial(), g.leading_monomial())
+
+    def scaled(h):
+        return ring.monomial(mono_div(lcm, h.leading_monomial()),
+                             pow(h.leading_coeff(), p - 2, p)) * h
+
+    return scaled(f) - scaled(g)
 
 
 def equal_by_reduced_bases(a, b):
@@ -185,13 +225,18 @@ def affine_basis_by_dehomogenizing(ideal, coeffs):
                             for g in ideal.generators])
 
 
+def rank(rows, p):
+    return len(modp.rref(rows, p)[1])
+
+
 def mult_matrix(g, gb, std, ring):
     """Matrix of multiplication by g on the quotient, in the basis std."""
     index = {m: i for i, m in enumerate(std)}
+    nf = reducer(gb, ring)
     cols = []
-    for nf in normal_forms([g * ring.monomial(m) for m in std], gb):
+    for m in std:
         col = [0] * len(std)
-        for mm, c in nf.terms.items():
+        for mm, c in nf(g * ring.monomial(m)).terms.items():
             col[index[mm]] = c
         cols.append(col)
     # cols[j][i] is entry (i, j)

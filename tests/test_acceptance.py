@@ -18,14 +18,13 @@ import pytest
 
 from liaison.fatpoints import (FatPointScheme, PointP3, default_ring,
                                fat_point_ideal, fatpoint_hvector_formula,
-                               gorenstein_X_hvector_formula, point_ideal,
-                               reduce_to_reduced, single_fatpoint_link_step,
+                               point_ideal, reduce_to_reduced,
+                               single_fatpoint_link_step,
                                theorem32_double_step)
 from liaison.ideals import Ideal
 from liaison.lifting import verify_lifting
-from liaison.links import (ci_link, gorenstein_sum, is_geometric_link,
-                           lemma_key_link, link_involution_check,
-                           proper_ci_intersection_link)
+from liaison.links import (is_geometric_link, lemma_key_link,
+                           link_involution_check, proper_ci_intersection_link)
 from liaison.rings import AlgebraError, PolyRing
 
 from .conftest import CRITERION_LINES

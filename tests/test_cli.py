@@ -5,8 +5,7 @@ import json
 
 import pytest
 
-from liaison.cli import (EXIT_GENERICITY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY,
-                         _json_text, main)
+from liaison.cli import EXIT_OK, EXIT_PARSE, EXIT_VERIFY, _json_text, main
 
 
 def write(tmp_path, name, obj):

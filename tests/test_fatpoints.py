@@ -199,10 +199,11 @@ def test_double_step_budget_fails_before_drawing(monkeypatch):
         raise AssertionError("forms drawn before the budget check")
     monkeypatch.setattr(fatpoints, "general_forms_through", no_draws)
     monkeypatch.setattr(fatpoints, "grid_curves", no_draws)
-    scheme = FatPointScheme(((ORIGIN, 2), (OTHER, 1)))
     # the first link's CI(F, G) has (2 + 1) * (2 * 1 + 2 + 1) = 15 lines
+    monkeypatch.setattr(fatpoints, "MAX_CROSSING_PAIRS", 14)
+    scheme = FatPointScheme(((ORIGIN, 2), (OTHER, 1)))
     with pytest.raises(ResourceLimitError):
-        theorem32_double_step(scheme, seed=0, budget=14)
+        theorem32_double_step(scheme, seed=0)
 
 
 # -- the incidence table against the pairwise sweep --------------------------

@@ -4,14 +4,16 @@ import heapq
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liaison import groebner
 from liaison.groebner import buchberger, normal_form
 from liaison.ideals import Ideal
-from liaison.rings import PolyRing
+from liaison.rings import MonomialOrder, PolyRing, mono_divides
 
-from .oracles import (membership_by_linear_algebra, random_homogeneous,
-                      sympy_groebner)
+from .oracles import (divide, membership_by_linear_algebra,
+                      random_homogeneous, s_polynomial, sympy_groebner)
 
 P = 32003
 R3 = PolyRing(("x", "y", "z"), P)
@@ -85,6 +87,43 @@ def test_sympy_agrees_on_random_ideals(seed):
     if not texts:
         return
     assert gb_strings(R3, texts) == sympy_groebner(R3, texts)
+
+
+# degrevlex, lex, and the ring Ideal.intersect builds: an elimination order
+# with one extra variable first
+ORDERED_RINGS = [PolyRing(("u", "x", "y"), 7, MonomialOrder(*order))
+                 for order in (("degrevlex",), ("lex",), ("elim", 1))]
+
+
+@st.composite
+def generator_sets(draw):
+    """A ring and one to three generators of one to three terms each, with
+    exponents up to 2, so that many are inhomogeneous."""
+    ring = draw(st.sampled_from(ORDERED_RINGS))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * ring.nvars),
+                     st.integers(1, ring.prime - 1))
+    polys = st.lists(term, min_size=1, max_size=3).map(
+        lambda ts: ring.from_dict(dict(ts)))
+    return ring, draw(st.lists(polys, min_size=1, max_size=3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=generator_sets())
+def test_buchberger_output_is_a_reduced_basis_of_its_input(case):
+    ring, gens = case
+    gb = buchberger(gens)
+    key = ring.order.key
+    lts = [g.leading_monomial() for g in gb]
+    assert lts == sorted(lts, key=key)
+    for g, lt in zip(gb, lts):
+        assert g.leading_coeff() == 1
+        others = [h for h in lts if h != lt]
+        assert not any(mono_divides(h, m) for h in others for m in g.terms)
+    for i, g in enumerate(gb):
+        for h in gb[i + 1:]:
+            assert not divide(s_polynomial(g, h), gb)
+    for f in gens:
+        assert not divide(f, gb)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -1,6 +1,5 @@
 """Lifting tests: distraction of monomial ideals and its certificates."""
 
-import itertools
 import random
 
 import pytest

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from liaison import links
 from liaison.ideals import GenericityError, Ideal
 from liaison.links import (ci_link, embed_and_link, gorenstein_sum,
                            is_complete_intersection_gens, is_geometric_link,
@@ -136,8 +137,9 @@ def test_proper_ci_intersection_link_on_cubic():
     assert ci.degree() == TWISTED_CUBIC.degree() + residual.degree()
 
 
-def test_proper_ci_link_exhaustion_raises():
+def test_proper_ci_link_exhaustion_raises(monkeypatch):
     # a plane has codim 1; degree-1 combinations of one generator can never
     # give a geometric link (the residual is always the plane itself)
+    monkeypatch.setattr(links, "CI_LINK_TRIES", 3)
     with pytest.raises((GenericityError, AlgebraError)):
-        proper_ci_intersection_link(I4("x0^2"), (2,), seed=0, tries=3)
+        proper_ci_intersection_link(I4("x0^2"), (2,), seed=0)
