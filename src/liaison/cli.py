@@ -158,7 +158,7 @@ def cmd_link(args):
             f = ideal.ring.parse(data["f"])
         except AlgebraError as exc:
             raise CliError("bad multiplier: %s" % exc)
-        combined, step = lemma_key_link(ideal, f, other)
+        _, step = lemma_key_link(ideal, f, other)
         report["identity"] = step.to_json()
         report["verdict"] = ("identity holds" if step.passed()
                              else "identity FAILED")
@@ -167,7 +167,7 @@ def cmd_link(args):
     if "linking" not in data:
         raise CliError("link input needs 'linking' or ('f', 'other')")
     ci = _load_ideal(data["linking"], args.prime)
-    ok, residual, back = link_involution_check(ci, ideal)
+    ok, residual, _ = link_involution_check(ci, ideal)
     geometric = is_geometric_link(ci, ideal.saturate_irrelevant(), residual)
     report.update({
         "residual": [str(g) for g in residual.generators],
@@ -241,7 +241,7 @@ def cmd_embed(args):
         witness = _load_ideal(witness_data, args.prime)
         if witness.ring.variables != ext0.ring.variables:
             raise CliError("witness must use the extended variable list")
-    ext, residual, step = embed_and_link(ideal, witness=witness, var=args.var)
+    _, _, step = embed_and_link(ideal, witness=witness, var=args.var)
     report = _base_report(args, "embed")
     report["prime"] = ideal.ring.prime
     report["step"] = step.to_json()

@@ -292,7 +292,7 @@ def single_fatpoint_link_step(ring, point, a, seed=0):
         "residual_is_lower_power": residual == lower,
         "degree_additivity": gor.degree() == pa.degree() + residual.degree(),
     }
-    step = report.add(LinkStep(
+    report.add(LinkStep(
         kind="fatpoint-link",
         description="X : (power %d) = power %d at %s" % (a, a - 1, point),
         data={"residual_degree": residual.degree()},
@@ -817,7 +817,7 @@ def _double_step_once(scheme, focus_index, seed, ring):
     z_local = {focus.coords: fat_point_ideal(ring, focus, a)}
     for pt, b in others:
         z_local[pt.coords] = fat_point_ideal(ring, pt, b)
-    res1, rk_points, deg_z1 = _tracked_link(
+    res1, rk_points, _ = _tracked_link(
         ring, focus, sel1, fat_forms, {}, z_local, report, 1)
 
     # the focus component of Z' must be exactly the (a-1)-st power
@@ -863,14 +863,13 @@ def _double_step_once(scheme, focus_index, seed, ring):
     leftovers = [q for q in rk_objs if q.coords in res2]
     checks["no_components_at_Rk"] = not leftovers
     checks["residue_reduced"] = not leftovers
-    new_keys = [k for k, v in res2.items() if v == "reduced"]
     report.add(LinkStep(
         kind="double-step-verdict",
         description=("Z'' = focus power %d, original fat points, %d "
                      "leftover auxiliary points (0 reduced), and %d new "
                      "reduced points"
-                     % (a - 2, len(leftovers), len(new_keys))),
-        data={"degree": deg_z2, "new_reduced_points": len(new_keys),
+                     % (a - 2, len(leftovers), len(new_points))),
+        data={"degree": deg_z2, "new_reduced_points": len(new_points),
               "auxiliary_leftovers": len(leftovers), "seed": seed},
         checks=checks,
     ))
@@ -879,7 +878,7 @@ def _double_step_once(scheme, focus_index, seed, ring):
     assembled = all(restored.values())
     points = [(focus, a - 2)] if a > 2 else []
     points += others
-    points += [(PointP3(k), 1) for k in new_keys]
+    points += [(PointP3(k), 1) for k in new_points]
     report.result = FatPointScheme(tuple(points)) if assembled else None
     return report
 

@@ -312,6 +312,19 @@ def buchberger(generators, numerator=None):
     return _interreduce(basis, ring)
 
 
+def interreduce(basis):
+    """The reduced Groebner basis of an ideal, from any Groebner basis of it.
+
+    Minimalizes and tail-reduces, with no S-pairs: the output is the one
+    `buchberger` returns for the same ideal and ring.
+    """
+    gens = [g for g in basis if g]
+    if not gens:
+        return []
+    ring = gens[0].ring
+    return _interreduce([_split(g.terms, ring) for g in gens], ring)
+
+
 def _interreduce(basis, ring):
     """Minimalize and tail-reduce a list of basis elements; return monic
     polynomials sorted by increasing leading monomial."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import modp
 from .groebner import (buchberger, hilbert_function_from_numerator,
-                       monomial_hilbert_numerator, reducer)
+                       interreduce, monomial_hilbert_numerator, reducer)
 from .rings import (AlgebraError, RingMismatchError, MonomialOrder,
                     Polynomial, PolyRing, mono_div, mono_divides)
 
@@ -86,16 +86,20 @@ class Ideal:
     """Homogeneous ideal with cached Groebner data and numeric invariants.
 
     An ideal computes its reduced degrevlex basis at most once, and keeps
-    the latest basis it computed in coordinates with a linear form last
-    (`_basis_with_last`).  That basis also fixes the Hilbert numerator, since
-    a linear change of coordinates keeps the Hilbert function.  Yes/no
+    one reduced basis in coordinates with a linear form last: the latest
+    one it computed (`_basis_with_last`), or, for a linear colon, the
+    stripped basis it was made from (`_colon_linear`).  That basis also
+    fixes the Hilbert numerator, since a linear change of coordinates keeps
+    the Hilbert function.  A caller that knows the numerator beforehand may
+    pass it, and the ideal's bases are then Hilbert-driven.  Yes/no
     questions are answered from what is in hand, and every answer is exact:
     zero and unit from the generators (`is_unit`), membership from either
     basis (`contains`), and equality from one containment and the Hilbert
-    numerators (`__eq__`).
+    numerators (`__eq__`).  "In hand" means a cached basis or a kept basis
+    with a form last.
     """
 
-    def __init__(self, ring, generators, _gb=None):
+    def __init__(self, ring, generators, _gb=None, _numerator=None):
         gens = []
         for g in generators:
             if isinstance(g, str):
@@ -109,11 +113,11 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb = _gb
-        self._numerator = None
+        self._numerator = _numerator
         self._dim_deg = None
         self._colons = None
-        # (coeffs, work ring, image map, basis): the latest basis with a
-        # linear form last, see `_basis_with_last`
+        # (coeffs, work ring, image map, reduced basis): the kept basis with
+        # a linear form last, see `_basis_with_last` and `_colon_linear`
         self._shifted = None
 
     @classmethod
@@ -146,11 +150,11 @@ class Ideal:
     def contains(self, f):
         """f in I, by one normal form against the basis in hand.
 
-        That is the cached basis, or else the latest basis with a linear
-        form last (`_basis_with_last`).  The change of coordinates that
-        basis was computed in is a ring automorphism, so f lies in I exactly
-        when its image reduces to zero against that basis.  With neither in
-        hand, the cached basis is computed.
+        That is the cached basis, or else the kept basis with a linear form
+        last (`_basis_with_last`, `_colon_linear`).  The change of
+        coordinates that basis was computed in is a ring automorphism, so f
+        lies in I exactly when its image reduces to zero against that basis.
+        With neither in hand, the cached basis is computed.
         """
         if isinstance(f, str):
             f = self.ring.parse(f)
@@ -349,10 +353,15 @@ class Ideal:
         divisible by exactly x^k, is a Groebner basis of I : x^cap.  The
         basis is reduced, so it strips nothing exactly when I : ell = I, and
         then self itself is returned.  Results are kept per ideal, keyed by
-        ell up to a scalar and by cap.  A new result carries the Hilbert
-        numerator of the stripped leading terms, since a linear change of
-        coordinates keeps the Hilbert function, so its own basis is
-        computed Hilbert-driven.
+        ell up to a scalar and by cap.
+
+        A new result keeps the stripped basis, interreduced, as its own
+        basis with ell last, under the same change of coordinates: it is
+        the reduced basis of the image of I : ell^cap.  So its membership
+        and equality tests, and a later colon by ell, need no basis of it.
+        It also carries the Hilbert numerator of those leading terms, since
+        a linear change of coordinates keeps the Hilbert function, so a
+        basis of it in the original coordinates is Hilbert-driven.
         """
         ring = self.ring
         if ell.ring != ring:
@@ -370,7 +379,7 @@ class Ideal:
         if key in self._colons:
             # None stands for self, which is not stored in its own memo
             return self._colons[key] or self
-        ell, work, gb = self._basis_with_last(coeffs)
+        ell, work, image, gb = self._basis_with_last(coeffs)
         stripped = []
         for g in gb:
             k = min(cap, min(m[-1] for m in g.terms))
@@ -382,14 +391,18 @@ class Ideal:
             out = self
         else:
             if len(ell.terms) == 1:
-                out = Ideal(ring, [g.map_to(ring) for g in stripped])
+                gens = [g.map_to(ring) for g in stripped]
             else:
                 x = work.variables[-1]
-                out = Ideal(ring, [g.substitute({x: ell}, ring)
-                                   for g in stripped])
+                gens = [g.substitute({x: ell}, ring) for g in stripped]
+            # reduced, so that a later colon by ell strips nothing exactly
+            # when it is the same ideal
+            basis = interreduce(stripped)
             # a linear change of coordinates keeps the Hilbert function
-            out._numerator = tuple(monomial_hilbert_numerator(
-                [g.leading_monomial() for g in stripped], ring.nvars))
+            out = Ideal(ring, gens, _numerator=tuple(
+                monomial_hilbert_numerator(
+                    [g.leading_monomial() for g in basis], ring.nvars)))
+            out._shifted = (coeffs, work, image, basis)
         self._colons[key] = None if out is self else out
         return out
 
@@ -397,26 +410,31 @@ class Ideal:
         """Reduced degrevlex basis of I with a linear form as last variable.
 
         `coeffs` are the coefficients of the form ell, its last nonzero
-        one, on x, equal to 1.  Returns (ell, work, gb): `work` is the
-        degrevlex ring with x moved last, and gb the basis of the image of I
-        under x -> 2x - ell, which sends ell to x (a renaming when ell is x).
-        When ell is the ring's last variable, gb is the cached basis.
-        Otherwise the latest such basis is kept (see `contains`), and it
-        records the Hilbert numerator of I when that is not yet known: a
-        linear change of coordinates keeps the Hilbert function.
+        one, on x, equal to 1.  Returns (ell, work, image, gb): `work` is
+        the degrevlex ring with x moved last, `image` the map from the ring
+        to `work` by x -> 2x - ell, which sends ell to x (a renaming when
+        ell is x), and gb the reduced basis of the image of I.
+
+        The kept basis is used when it has ell last: the one a linear colon
+        made this ideal from (`_colon_linear`), or the latest one computed
+        here.  Else, when ell is the ring's last variable, gb is the cached
+        basis.  Else a new basis is computed and kept (see `contains`); it
+        is Hilbert-driven when the numerator of I is known, and it records
+        that numerator when not: a linear change of coordinates keeps the
+        Hilbert function.
         """
         ring = self.ring
         ell = ring.linear_form(coeffs)
+        if self._shifted is not None and self._shifted[0] == coeffs:
+            return (ell,) + self._shifted[1:]
         x = ring.variables[max(i for i, c in enumerate(coeffs) if c)]
         work = ring.with_variables(
             tuple(v for v in ring.variables if v != x) + (x,))
-        if len(ell.terms) == 1 and work == ring:
-            return ell, work, self.groebner_basis()
-        if self._shifted is not None and self._shifted[0] == coeffs:
-            return ell, work, self._shifted[3]
         if len(ell.terms) == 1:
             def image(g):
                 return g.map_to(work)
+            if work == ring:
+                return ell, work, image, self.groebner_basis()
         else:
             xw = work.variable(x)
             xw = xw + xw - ell.map_to(work)
@@ -431,7 +449,7 @@ class Ideal:
             self._numerator = tuple(monomial_hilbert_numerator(
                 [g.leading_monomial() for g in gb], ring.nvars))
         self._shifted = (coeffs, work, image, gb)
-        return ell, work, gb
+        return ell, work, image, gb
 
     def irrelevant_ideal(self):
         return Ideal(self.ring, self.ring.gens())
@@ -560,7 +578,7 @@ class Ideal:
         """
         deg = self.degree()
         for coeffs in _chart_forms(self.ring, seed):
-            ell, work, gb = self._basis_with_last(coeffs)
+            ell, work, _, gb = self._basis_with_last(coeffs)
             x = work.variables[-1]
             aff = work.drop(x)
             gb = [_dehomogenize(g, aff) for g in gb]

@@ -140,6 +140,12 @@ def lemma_key_link(ideal, f, other):
     I ⊆ J.  Checks the full chain
         (I + f·J) : (I, f)  =  (I + f·J) : f  =  (I : f) + J  =  J
     and returns (combined ideal I + f·J, LinkStep).
+
+    I : f is decided first.  When it is I, f is regular on R/I, and
+    I + f·J gets its Hilbert numerator from those of I and J
+    (`_regular_sum_numerator`), so its bases are Hilbert-driven.  For a
+    linear f, each colon keeps the basis it was stripped from, and the
+    equalities are decided on those bases (see `Ideal._colon_linear`).
     """
     if isinstance(f, str):
         f = ideal.ring.parse(f)
@@ -147,17 +153,20 @@ def lemma_key_link(ideal, f, other):
         raise AlgebraError("multiplier must be a non-constant form")
     if not other.contains_ideal(ideal):
         raise AlgebraError("identity needs I contained in J")
-    combined = ideal + f * other
+    colon = ideal.quotient(f)
+    regular = colon == ideal
+    combined = Ideal(ideal.ring, (ideal + f * other).generators,
+                     _numerator=(_regular_sum_numerator(ideal, f, other)
+                                 if regular else None))
     denom = ideal + Ideal(ideal.ring, [f])
 
     q_full = combined.quotient(denom)
     q_by_f = combined.quotient(f)
-    colon = ideal.quotient(f)
     # I is inside J, so (I : f) + J is J itself when I : f is I
-    colon_plus = other if colon is ideal else colon + other
+    colon_plus = other if regular else colon + other
 
     checks = {
-        "f_regular_on_I": ideal.is_regular_element(f),
+        "f_regular_on_I": regular,
         "colon_by_pair_eq_colon_by_f": q_full == q_by_f,
         "colon_by_f_eq_colon_plus_J": q_by_f == colon_plus,
         "equals_J": q_full == other,
@@ -169,6 +178,27 @@ def lemma_key_link(ideal, f, other):
         checks=checks,
     )
     return combined, step
+
+
+def _regular_sum_numerator(ideal, f, other):
+    """Hilbert numerator of I + f·J, for f of degree e regular on R/I and
+    I ⊆ J: N(I) - z^e·(N(I) - N(J)).
+
+    Since f is regular on R/I, f·J ∩ I = f·(J ∩ (I : f)) = f·I, so
+    (I + f·J)/I = f·J/f·I is (J/I)(-e), and the Hilbert series of
+    R/(I + f·J) is that of R/I less z^e times that of J/I.
+    """
+    e = f.degree()
+    a, b = ideal.hilbert_numerator(), other.hilbert_numerator()
+    out = [0] * (max(len(a), len(b)) + e)
+    for i, c in enumerate(a):
+        out[i] += c
+        out[i + e] -= c
+    for i, c in enumerate(b):
+        out[i + e] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def embed_and_link(ideal, witness=None, var="t"):

@@ -85,6 +85,32 @@ def mono_mul(a, b):
     return out
 
 
+def _mul_terms(a, b, p):
+    """The product of two term dicts, as a new dict."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            s = (out.get(m, 0) + c1 * c2) % p
+            if s:
+                out[m] = s
+            elif m in out:
+                del out[m]
+    return out
+
+
+def _add_terms(out, b, p):
+    """Add the term dict b into the term dict out, in place."""
+    for m, c in b.items():
+        s = (out.get(m, 0) + c) % p
+        if s:
+            out[m] = s
+        elif m in out:
+            del out[m]
+
+
 def mono_divides(a, b):
     """True if a | b componentwise."""
     return all(x <= y for x, y in zip(a, b))
@@ -411,14 +437,8 @@ class Polynomial:
         if isinstance(other, int):
             other = self.ring.constant(other)
         self._check(other)
-        p = self.ring.prime
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = (out.get(m, 0) + c) % p
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+        _add_terms(out, other.terms, self.ring.prime)
         return Polynomial(self.ring, out)
 
     def __radd__(self, other):
@@ -447,20 +467,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        p = self.ring.prime
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                s = (out.get(m, 0) + c1 * c2) % p
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring,
+                          _mul_terms(self.terms, other.terms, self.ring.prime))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -524,43 +532,72 @@ class Polynomial:
 
         `assignment` maps variable names to elements of `target_ring`
         (defaults to this ring).  Unmentioned variables map to themselves.
+        All variables are substituted at once, so an image may mention
+        another substituted variable.
+
+        The polynomial is read as one in the substituted variables, with
+        coefficients in the others, and evaluated by Horner's rule in each
+        substituted variable in turn: one product by its image per step of
+        exponent, or by a power of it across a gap.  Terms with a variable
+        sent to zero are dropped first.
         """
         ring = target_ring if target_ring is not None else self.ring
-        images = []
-        for v in self.ring.variables:
+        p = ring.prime
+        subs = []       # images of the substituted variables, in order
+        sub_pos = []
+        kept = []       # (position here, position in ring) of the others
+        for i, v in enumerate(self.ring.variables):
             if v in assignment:
                 img = assignment[v]
                 if isinstance(img, int):
                     img = ring.constant(img)
-                images.append(img)
+                elif img.ring != ring:
+                    raise RingMismatchError(
+                        "image of %r is not in the target ring" % (v,))
+                subs.append(img)
+                sub_pos.append(i)
             else:
-                images.append(ring.variable(v))
-        # cache powers per variable
-        pow_cache = [dict() for _ in images]
+                kept.append((i, ring._index[v]))
+        zero_pos = [i for i, img in zip(sub_pos, subs) if not img]
+        # the terms grouped by their exponents in the substituted variables;
+        # the map is one to one, so no two terms meet
+        groups = {}
+        n = ring.nvars
+        for m, c in self.terms.items():
+            if any(m[i] for i in zero_pos):
+                continue
+            exps = [0] * n
+            for i, j in kept:
+                exps[j] = m[i]
+            key = tuple(m[i] for i in sub_pos)
+            groups.setdefault(key, {})[tuple(exps)] = c
+        powers = [{1: img.terms} for img in subs]
 
-        def power(i, e):
-            if e == 0:
-                return ring.one()
-            cache = pow_cache[i]
+        def power(level, e):
+            # by squaring, through the powers already made
+            cache = powers[level]
             if e not in cache:
-                cache[e] = images[i] ** e
+                half = power(level, e // 2)
+                out = _mul_terms(half, half, p)
+                cache[e] = _mul_terms(out, cache[1], p) if e % 2 else out
             return cache[e]
 
-        p = ring.prime
-        out = {}
-        for m, c in self.terms.items():
-            term = ring.constant(c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * power(i, e)
-            # the sum of the terms, in one dict
-            for mm, cc in term.terms.items():
-                s = (out.get(mm, 0) + cc) % p
-                if s:
-                    out[mm] = s
-                elif mm in out:
-                    del out[mm]
-        return Polynomial(ring, out)
+        def horner(part, level):
+            if level == len(subs):
+                return part[()]
+            by_exp = {}
+            for key, terms in part.items():
+                by_exp.setdefault(key[0], {})[key[1:]] = terms
+            degs = sorted(by_exp, reverse=True)
+            out = horner(by_exp[degs[0]], level + 1)
+            for hi, lo in zip(degs, degs[1:]):
+                out = _mul_terms(out, power(level, hi - lo), p)
+                _add_terms(out, horner(by_exp[lo], level + 1), p)
+            if degs[-1]:
+                out = _mul_terms(out, power(level, degs[-1]), p)
+            return out
+
+        return Polynomial(ring, horner(groups, 0) if groups else {})
 
     def evaluate(self, point):
         """Evaluate at a tuple of field elements; returns an int residue."""

@@ -12,7 +12,9 @@ basis, and reducedness by the characteristic
 polynomial of a random multiplier, instead of the minimal polynomials of
 the coordinates, lines as the RREF rows of their two planes, instead of
 their Plucker vectors, and the crossings of two line sets by testing every
-pair of lines, instead of reading them off the planes through each point.
+pair of lines, instead of reading them off the planes through each point,
+and substitution term by term, each term the product of the powers of its
+images, instead of by Horner's rule.
 """
 
 import random
@@ -105,6 +107,24 @@ def s_polynomial(f, g):
                              pow(h.leading_coeff(), p - 2, p)) * h
 
     return scaled(f) - scaled(g)
+
+
+def substitute_termwise(f, assignment, ring):
+    """f with the polynomials (or ints) of `ring` in `assignment` put for
+    its variables, and every other variable kept by name: the sum over the
+    terms of f of the coefficient times the power of each image."""
+    out = ring.zero()
+    for m, c in f.terms.items():
+        term = ring.constant(c)
+        for v, e in zip(f.ring.variables, m):
+            img = assignment.get(v)
+            if img is None:
+                img = ring.variable(v)
+            elif isinstance(img, int):
+                img = ring.constant(img)
+            term = term * img ** e
+        out = out + term
+    return out
 
 
 def equal_by_reduced_bases(a, b):

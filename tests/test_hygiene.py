@@ -1,12 +1,13 @@
 """Source hygiene: no module of the package or of the tests imports a name
-it never uses.  No linter is a dependency, so this scan is the check."""
+it never uses, and no function of the package assigns a name it never
+reads.  No linter is a dependency, so these scans are the check."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "liaison").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "liaison").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source):
@@ -39,3 +40,49 @@ def test_no_unused_imports():
              for path in MODULES
              for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def unused_locals(source):
+    """(line, name) of every name a function assigns and never reads.
+
+    A read anywhere in the function counts, nested functions included.
+    Names starting with "_" are exempt, and so are names the function
+    declares global or nonlocal.  The line is the first assignment.
+    """
+    tree = ast.parse(source)
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored = {}
+        read = set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+        found.update((line, name) for name, line in stored.items()
+                     if name not in read and not name.startswith("_"))
+    return sorted(found)
+
+
+def test_scan_finds_an_unused_local():
+    source = ("def f(xs):\n"
+              "    total, count = 0, len(xs)\n"
+              "    for x in xs:\n"
+              "        total += x\n"
+              "    _, last = xs[0], xs[-1]\n"
+              "    def g():\n"
+              "        return total\n"
+              "    return g\n")
+    assert unused_locals(source) == [(2, "count"), (5, "last")]
+
+
+def test_no_unused_locals_in_the_package():
+    found = ["%s:%d: %s" % (path.relative_to(ROOT), line, name)
+             for path in PACKAGE
+             for line, name in unused_locals(path.read_text())]
+    assert not found, "unused locals:\n" + "\n".join(found)

@@ -82,11 +82,13 @@ def test_saturate_irrelevant_removes_irrelevant_component():
 
 
 def _counting_buchberger(monkeypatch):
+    """Record (generators, numerator hint) of every basis an ideal computes."""
     calls = []
     real = ideals.buchberger
 
     def counting(gens, numerator=None):
-        calls.append(1)
+        gens = list(gens)
+        calls.append((gens, numerator))
         return real(gens, numerator)
 
     monkeypatch.setattr(ideals, "buchberger", counting)
@@ -541,22 +543,50 @@ def test_hinted_bases_match_unhinted(seed):
         for ell in _forms_of_each_kind(R3, rng):
             coeffs = _normalized_coeffs(ell)
             fresh = Ideal(R3, ideal.generators)
-            assert ideal._basis_with_last(coeffs) == fresh._basis_with_last(
-                coeffs)
+            assert (ideal._basis_with_last(coeffs)[3]
+                    == fresh._basis_with_last(coeffs)[3])
             for cap in (1, math.inf):
                 q = ideal._colon_linear(ell, cap)
                 if q is ideal:
                     continue
                 assert q._gb is None and q._numerator is not None
+                _check_kept_colon_basis(q, ell, cap, rng)
                 other = _normalized_coeffs(rng.choice(
                     _forms_of_each_kind(R3, rng)))
-                assert q._basis_with_last(other) == Ideal(
-                    R3, q.generators)._basis_with_last(other)
+                assert q._basis_with_last(other)[3] == Ideal(
+                    R3, q.generators)._basis_with_last(other)[3]
                 gb = q.groebner_basis()
                 assert gb == tuple(buchberger(q.generators))
                 assert q.hilbert_numerator() == tuple(
                     monomial_hilbert_numerator(
                         [g.leading_monomial() for g in gb], R3.nvars))
+
+
+def _check_kept_colon_basis(q, ell, cap, rng):
+    """The basis a colon q = I : ell^cap kept from its stripping: the reduced
+    basis of the image of q, which answers membership, regularity and later
+    colons as a fresh ideal on the same generators does."""
+    coeffs, work, image, kept = q._shifted
+    assert coeffs == _normalized_coeffs(ell)
+    assert kept == buchberger([image(g) for g in q.generators])
+    fresh = Ideal(R3, q.generators)
+    top = q.max_gen_degree() + rng.randrange(2)
+    member = sum((random_homogeneous(R3, top - g.degree(), rng) * g
+                  for g in q.generators), R3.zero())
+    others = [random_homogeneous(R3, d, rng) for d in (1, 2, top)]
+    tests = [member] + others + [member + others[-1]]
+    assert [q.contains(f) for f in tests] == [fresh.contains(f)
+                                             for f in tests]
+    assert q._gb is None
+    # the colon's own form first, on the kept basis; a colon by ell to the
+    # infinity strips nothing more
+    for form in [ell] + _forms_of_each_kind(R3, rng):
+        assert q.is_regular_element(form) == fresh.is_regular_element(form)
+        for cap2 in (1, math.inf):
+            assert ((q._colon_linear(form, cap2) is q)
+                    == (fresh._colon_linear(form, cap2) is fresh))
+    if cap == math.inf:
+        assert q._colon_linear(ell, cap) is q
 
 
 def test_hinted_colon_basis_reduces_fewer_pairs(monkeypatch):
@@ -727,9 +757,10 @@ def test_zero_ideal_has_a_shifted_basis_too():
 
 
 def test_colon_identity_computes_three_bases(monkeypatch):
-    # the basis of J (is I inside J?), of I + f*J with f last and of I with
-    # f last; equality, unit and zero tests, and the codimension of I after
-    # it, read what those left
+    # the basis of J (is I inside J?), of I with f last and of I + f*J with
+    # f last, the last one Hilbert-driven since f is regular on R/I;
+    # equality, unit and zero tests, and the codimension of I after it, read
+    # what those left
     rng = random.Random(5)
     while True:
         ideal = Ideal(R4, [random_homogeneous(R4, 2, rng) for _ in range(3)])
@@ -743,12 +774,19 @@ def test_colon_identity_computes_three_bases(monkeypatch):
     assert step.passed()
     assert ideal.codim() == 3
     assert len(calls) == 3
+    hints = [numerator for gens, numerator in calls
+             if len(gens) == len(combined.generators)]
+    assert hints == [Ideal(R4, combined.generators).hilbert_numerator()]
 
 
-def test_colon_identity_with_a_zerodivisor_reports_it():
+def test_colon_identity_with_a_zerodivisor_reports_it(monkeypatch):
     # f = x0 is a zerodivisor: I : f = (x1) is not inside J, so
-    # (I : f) + J = (x1, x2) is built, and the identity fails
+    # (I : f) + J = (x1, x2) is built, and the identity fails; I + f*J gets
+    # no numerator, since its Hilbert series does not follow from I and J,
+    # and no other basis here has one either
+    calls = _counting_buchberger(monkeypatch)
     combined, step = lemma_key_link(I4("x0*x1"), "x0", I4("x0*x1", "x2"))
+    assert calls and all(numerator is None for _, numerator in calls)
     assert step.checks == {"f_regular_on_I": False,
                            "colon_by_pair_eq_colon_by_f": True,
                            "colon_by_f_eq_colon_plus_J": True,

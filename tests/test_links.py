@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from liaison import links
+from liaison import ideals, links
 from liaison.ideals import GenericityError, Ideal
 from liaison.links import (ci_link, embed_and_link, gorenstein_sum,
                            is_complete_intersection_gens, is_geometric_link,
@@ -106,6 +106,52 @@ def test_colon_identity_random_instances(seed):
     f = random_homogeneous(R4, 1, rng)
     combined, step = lemma_key_link(ideal, f, other)
     assert step.passed()
+
+
+def _numerator_minus_shifted(a, b, e):
+    """Coefficients of a(z) - z^e * (a(z) - b(z)), trailing zeros cut."""
+    out = [0] * (max(len(a), len(b)) + e)
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i + e] += c
+    for i, c in enumerate(a):
+        out[i + e] -= c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("seed", range(3))
+def test_regular_sum_numerator_matches_its_basis(seed, degree, monkeypatch):
+    # f regular on R/I and I inside J: the numerator of I + f*J, computed
+    # from its own basis with no hint, is N(I) - z^e (N(I) - N(J)), and
+    # lemma_key_link hands that numerator to the basis of I + f*J
+    rng = random.Random(7100 + seed)
+    while True:
+        ideal = Ideal(R4, [random_homogeneous(R4, 2, rng) for _ in range(2)])
+        if ideal.codim() == 2:
+            break
+    other = ideal + Ideal(R4, [random_homogeneous(R4, 2, rng)])
+    f = random_homogeneous(R4, degree, rng)
+    assert ideal.is_regular_element(f)
+    expected = _numerator_minus_shifted(
+        ideal.hilbert_numerator(), other.hilbert_numerator(), degree)
+    fresh = Ideal(R4, (ideal + f * other).generators)
+    assert fresh.hilbert_numerator() == expected
+    hints = []
+    real = ideals.buchberger
+
+    def recording(gens, numerator=None):
+        gens = list(gens)
+        hints.append((len(gens), numerator))
+        return real(gens, numerator)
+
+    monkeypatch.setattr(ideals, "buchberger", recording)
+    combined, step = lemma_key_link(Ideal(R4, ideal.generators), f, other)
+    assert step.passed()
+    assert (len(combined.generators), expected) in hints
 
 
 def test_embed_and_link_preserves_hilbert_function():

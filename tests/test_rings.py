@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liaison.rings import (DEGREVLEX, AlgebraError, MonomialOrder, PolyRing,
-                           PrimeField, mono_divides, mono_div, mono_mul)
+from liaison.rings import (_EXP_LIMIT, DEGREVLEX, AlgebraError,
+                           MonomialOrder, PolyRing, PrimeField, mono_divides,
+                           mono_div, mono_mul)
+
+from .oracles import substitute_termwise
 
 P = 32003
 FIELD = PrimeField(P)
@@ -117,6 +120,57 @@ def test_substitute_and_evaluate():
     assert f.evaluate((2, 3, 1)) == (4 * 3 + 1) % P
     g = f.substitute({"z": 0})
     assert g == RING.parse("x^2*y")
+
+
+# the ring a basis with y last lives in (see Ideal._basis_with_last)
+Y_LAST = RING.with_variables(("x", "z", "y"))
+
+
+@st.composite
+def substitutions(draw):
+    """(target ring or None, assignment): one variable into the ring with
+    the variables permuted, one variable to 0 in the same ring, or two
+    variables at once, each image free to mention the other."""
+    kind = draw(st.sampled_from(["permuted", "zero", "two"]))
+    if kind == "permuted":
+        return Y_LAST, {"y": draw(poly_strategy(Y_LAST, max_exp=2))}
+    if kind == "zero":
+        return None, {draw(st.sampled_from(RING.variables)): 0}
+    names = draw(st.lists(st.sampled_from(RING.variables), min_size=2,
+                          max_size=2, unique=True))
+    return None, {v: draw(poly_strategy(max_terms=3, max_exp=2))
+                  for v in names}
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=poly_strategy(), case=substitutions())
+def test_substitute_matches_termwise_expansion(f, case):
+    target, assignment = case
+    expected = substitute_termwise(f, assignment, target or RING)
+    assert f.substitute(assignment, target) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(exps=exponents, coeff=scalars, big=st.sampled_from(RING.variables),
+       gap=st.integers(min_value=1, max_value=8),
+       images=st.dictionaries(st.sampled_from(RING.variables), exponents,
+                              min_size=1, max_size=2))
+def test_substitute_overflow_matches_termwise_expansion(exps, coeff, big, gap,
+                                                         images):
+    # one term with an exponent near the limit and monomial images, so no
+    # two products meet: the overflow error comes exactly when one product
+    # reaches the limit
+    exps = list(exps)
+    exps[RING.variables.index(big)] = _EXP_LIMIT - gap
+    f = RING.monomial(exps, coeff)
+    assignment = {v: RING.monomial(e) for v, e in images.items()}
+    try:
+        expected = substitute_termwise(f, assignment, RING)
+    except AlgebraError:
+        with pytest.raises(AlgebraError, match="overflow"):
+            f.substitute(assignment)
+    else:
+        assert f.substitute(assignment) == expected
 
 
 def test_homogeneous_degree():
