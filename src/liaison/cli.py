@@ -66,6 +66,9 @@ def _load_ideal(data, prime):
         return Ideal(ring, gens)
     if gens is None:
         raise CliError("ideal object needs 'generators' or 'monomials'")
+    if not isinstance(gens, list) or not all(isinstance(g, str)
+                                             for g in gens):
+        raise CliError("'generators' must be a list of strings")
     try:
         return Ideal.from_strings(ring, gens)
     except AlgebraError as exc:
@@ -147,7 +150,7 @@ def cmd_hvector(args):
 
 def cmd_link(args):
     data = _load_json(args.input)
-    if "ideal" not in data:
+    if not isinstance(data, dict) or "ideal" not in data:
         raise CliError("link input needs an 'ideal' object")
     ideal = _load_ideal(data["ideal"], args.prime)
     report = _base_report(args, "link")
@@ -156,7 +159,7 @@ def cmd_link(args):
         other = _load_ideal(data["other"], args.prime)
         try:
             f = ideal.ring.parse(data["f"])
-        except AlgebraError as exc:
+        except (AlgebraError, TypeError) as exc:
             raise CliError("bad multiplier: %s" % exc)
         _, step = lemma_key_link(ideal, f, other)
         report["identity"] = step.to_json()
@@ -182,6 +185,8 @@ def cmd_link(args):
 
 def cmd_fatpoints(args):
     data = _load_json(args.input)
+    if not isinstance(data, dict):
+        raise CliError("point scheme must be a JSON object")
     prime = args.prime or data.get("prime", DEFAULT_PRIME)
     try:
         ring = default_ring(prime)
@@ -189,7 +194,7 @@ def cmd_fatpoints(args):
         raise CliError("bad ring: %s" % exc)
     try:
         scheme = FatPointScheme.from_json(data, prime)
-    except (KeyError, AlgebraError) as exc:
+    except AlgebraError as exc:
         raise CliError("bad point scheme: %s" % exc)
     report = _base_report(args, "fatpoints")
     report["prime"] = prime
@@ -226,7 +231,7 @@ def cmd_lift(args):
 
 def cmd_embed(args):
     data = _load_json(args.input)
-    if "ideal" in data:
+    if isinstance(data, dict) and "ideal" in data:
         ideal = _load_ideal(data["ideal"], args.prime)
         witness_data = data.get("witness")
     else:
@@ -241,6 +246,8 @@ def cmd_embed(args):
         witness = _load_ideal(witness_data, args.prime)
         if witness.ring.variables != ext0.ring.variables:
             raise CliError("witness must use the extended variable list")
+        if witness.ring.prime != ext0.ring.prime:
+            raise CliError("witness must use the prime of the ideal")
     _, _, step = embed_and_link(ideal, witness=witness, var=args.var)
     report = _base_report(args, "embed")
     report["prime"] = ideal.ring.prime

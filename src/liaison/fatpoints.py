@@ -93,9 +93,22 @@ class FatPointScheme:
 
     @classmethod
     def from_json(cls, data, prime=DEFAULT_PRIME):
-        pts = tuple((PointP3.make(e["coords"], prime), int(e.get("mult", 1)))
-                    for e in data["points"])
-        return cls(pts)
+        entries = data.get("points")
+        if not isinstance(entries, list):
+            raise AlgebraError("a point scheme needs a 'points' list")
+        pts = []
+        for e in entries:
+            coords = e.get("coords") if isinstance(e, dict) else None
+            if not isinstance(coords, list) or not all(
+                    isinstance(c, int) for c in coords):
+                raise AlgebraError("a point needs 'coords', a list of "
+                                   "integers: %s" % (e,))
+            try:
+                mult = int(e.get("mult", 1))
+            except (TypeError, ValueError):
+                raise AlgebraError("bad multiplicity: %s" % (e,))
+            pts.append((PointP3.make(coords, prime), mult))
+        return cls(tuple(pts))
 
 
 @dataclass

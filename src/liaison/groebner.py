@@ -42,7 +42,9 @@ from .rings import (
 # ---------------------------------------------------------------------------
 # Hilbert numerator of a monomial ideal (pivot-variable recursion)
 
-def _minimalize(gens):
+def minimalize(gens):
+    """The minimal generators of the monomial ideal that exponent vectors
+    span, without repeats, lowest degree first."""
     out = []
     for g in sorted(set(gens), key=sum):
         if not any(all(x <= y for x, y in zip(h, g)) for h in out):
@@ -69,7 +71,7 @@ def _num_mul_one_minus_zd(a, d):
 
 def monomial_hilbert_numerator(gens, nvars):
     """Numerator N(z) with Series = N(z)/(1-z)^nvars, as an int list."""
-    gens = _minimalize(tuple(g) for g in gens)
+    gens = minimalize(tuple(g) for g in gens)
     memo = {}
 
     def rec(gs):
@@ -101,8 +103,8 @@ def monomial_hilbert_numerator(gens, nvars):
                             counts[i] += 1
                 v = counts.index(max(counts))
                 pivot = tuple(1 if i == v else 0 for i in range(nvars))
-                plus = _minimalize([g for g in gs if g[v] == 0] + [pivot])
-                quot = _minimalize([tuple(e - 1 if i == v and e else e
+                plus = minimalize([g for g in gs if g[v] == 0] + [pivot])
+                quot = minimalize([tuple(e - 1 if i == v and e else e
                                           for i, e in enumerate(g))
                                     for g in gs])
                 res = _num_add(rec(tuple(plus)), _num_shift(rec(tuple(quot)), 1))

@@ -1,8 +1,9 @@
 """Ideal-level algebra: quotients, saturations, Hilbert data, scheme tests.
 
-Ideals are immutable; the reduced Groebner basis and the numeric invariants
-derived from it are cached on first use.  All ideals handed to users are
-homogeneous; dehomogenized (affine) computations happen internally only.
+Ideals are immutable and live in degrevlex rings; their Groebner bases, one
+per linear form taken last, and the numeric invariants derived from them
+are kept once computed.  All ideals handed to users are homogeneous;
+dehomogenized (affine) computations happen internally only.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from . import modp
 from .groebner import (buchberger, hilbert_function_from_numerator,
                        interreduce, monomial_hilbert_numerator, reducer)
 from .rings import (AlgebraError, RingMismatchError, MonomialOrder,
-                    Polynomial, PolyRing, mono_div, mono_divides)
+                    Polynomial, mono_div, mono_divides)
 
 
 class GenericityError(AlgebraError):
@@ -83,23 +84,28 @@ def _strip_one_minus_z(num):
 
 
 class Ideal:
-    """Homogeneous ideal with cached Groebner data and numeric invariants.
+    """Homogeneous ideal in a degrevlex ring, with a table of Groebner bases.
 
-    An ideal computes its reduced degrevlex basis at most once, and keeps
-    one reduced basis in coordinates with a linear form last: the latest
-    one it computed (`_basis_with_last`), or, for a linear colon, the
-    stripped basis it was made from (`_colon_linear`).  That basis also
-    fixes the Hilbert numerator, since a linear change of coordinates keeps
-    the Hilbert function.  A caller that knows the numerator beforehand may
-    pass it, and the ideal's bases are then Hilbert-driven.  Yes/no
-    questions are answered from what is in hand, and every answer is exact:
-    zero and unit from the generators (`is_unit`), membership from either
-    basis (`contains`), and equality from one containment and the Hilbert
-    numerators (`__eq__`).  "In hand" means a cached basis or a kept basis
-    with a form last.
+    The table maps a linear form ell, given by its coefficients with the
+    last nonzero one 1, to (work ring, image map, the reduced degrevlex
+    basis of the image of I with ell last); `_basis_with_last` fills it,
+    and an entry, once made, is kept.  The ring's own reduced basis is the
+    entry for the last variable, with the ring as work ring and the
+    identity as image map.  A linear colon enters the stripped basis it
+    was made from (`_colon_linear`).  Any entry fixes the Hilbert
+    numerator, since a linear change of coordinates keeps the Hilbert
+    function, so every basis after the first is Hilbert-driven; a caller
+    that knows the numerator beforehand may pass it.  Yes/no questions are
+    answered from the table, and every answer is exact: zero and unit from
+    the generators (`is_unit`), membership from any entry (`contains`),
+    and equality from one containment and the Hilbert numerators
+    (`__eq__`).
     """
 
-    def __init__(self, ring, generators, _gb=None, _numerator=None):
+    def __init__(self, ring, generators, _numerator=None):
+        if ring.order.kind != "degrevlex":
+            raise AlgebraError("ideals live in degrevlex rings, not %r"
+                               % (ring.order,))
         gens = []
         for g in generators:
             if isinstance(g, str):
@@ -112,13 +118,12 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._gb = _gb
         self._numerator = _numerator
         self._dim_deg = None
         self._colons = None
-        # (coeffs, work ring, image map, reduced basis): the kept basis with
-        # a linear form last, see `_basis_with_last` and `_colon_linear`
-        self._shifted = None
+        # coefficients of ell -> (work ring, image map, reduced basis with
+        # ell last), see `_basis_with_last`
+        self._bases = {}
 
     @classmethod
     def from_strings(cls, ring, texts):
@@ -127,12 +132,17 @@ class Ideal:
     # -- basics --------------------------------------------------------------
 
     def groebner_basis(self):
-        """The reduced Groebner basis, computed once.  A linear colon
-        (`_colon_linear`) knows its Hilbert numerator beforehand, and the
-        computation is then Hilbert-driven."""
-        if self._gb is None:
-            self._gb = tuple(buchberger(self.generators, self._numerator))
-        return self._gb
+        """The reduced Groebner basis: the table's entry for the last
+        variable (`_basis_with_last`)."""
+        return self._basis_with_last(_last_key(self.ring))[2]
+
+    @property
+    def _gb(self):
+        """The reduced Groebner basis when in the table, else None.  Nothing
+        in the package reads it; perfbench's tracer does, to count the calls
+        of `groebner_basis` that find the basis made."""
+        entry = self._bases.get(_last_key(self.ring))
+        return None if entry is None else entry[2]
 
     def is_zero(self):
         """True for the zero ideal: zero generators are dropped on entry."""
@@ -148,13 +158,12 @@ class Ideal:
         return any(g.is_constant() for g in self.generators)
 
     def contains(self, f):
-        """f in I, by one normal form against the basis in hand.
+        """f in I, by one normal form against a basis in the table.
 
-        That is the cached basis, or else the kept basis with a linear form
-        last (`_basis_with_last`, `_colon_linear`).  The change of
-        coordinates that basis was computed in is a ring automorphism, so f
-        lies in I exactly when its image reduces to zero against that basis.
-        With neither in hand, the cached basis is computed.
+        That is the ring's own basis when made, else any other entry, else
+        the ring's own basis, computed.  The change of coordinates an entry
+        was computed in is a ring automorphism, so f lies in I exactly when
+        its image reduces to zero against that basis.
         """
         if isinstance(f, str):
             f = self.ring.parse(f)
@@ -173,12 +182,16 @@ class Ideal:
 
     def _member(self):
         """The test f -> (f in I) that `contains` describes."""
-        if self._gb is None and self._shifted is not None:
-            _, work, image, gb = self._shifted
-            nf = reducer(gb, work)
-            return lambda f: not nf(image(f))
-        nf = reducer(self.groebner_basis(), self.ring)
-        return lambda f: not nf(f)
+        work, image, gb = self._any_basis()
+        nf = reducer(gb, work)
+        return lambda f: not nf(image(f))
+
+    def _any_basis(self):
+        """An entry of the table: the ring's own basis when made, else any
+        other, else the ring's own basis, computed."""
+        last = _last_key(self.ring)
+        return (self._bases.get(last) or next(iter(self._bases.values()), None)
+                or self._basis_with_last(last))
 
     def __eq__(self, other):
         """Equality of ideals, with at most one new basis when either side
@@ -189,8 +202,8 @@ class Ideal:
         (Traverso, J. Symbolic Comput. 22, 1996; Kreuzer-Robbiano,
         Computational Commutative Algebra 2, Sec. 5.1).  So two known
         numerators that differ decide at once.  Otherwise the generators of
-        one side are tested against the other side, the one with a basis in
-        hand when there is one (see `contains`), and the numerators decide.
+        one side are tested against the other side, one with a basis in its
+        table when there is one (see `contains`), and the numerators decide.
         """
         if not isinstance(other, Ideal):
             return NotImplemented
@@ -201,22 +214,18 @@ class Ideal:
         mine, theirs = self._known_numerator(), other._known_numerator()
         if mine is not None and theirs is not None and mine != theirs:
             return False
-        # the container: a side with a basis in hand, else one whose basis
-        # also yields the numerator not yet known
-        if self._in_hand() or (not other._in_hand() and mine is None):
+        # the container: a side with a basis, else one whose basis also
+        # yields the numerator not yet known
+        if self._bases or (not other._bases and mine is None):
             big, small = self, other
         else:
             big, small = other, self
         return (big.contains_ideal(small)
                 and small.hilbert_numerator() == big.hilbert_numerator())
 
-    def _in_hand(self):
-        """True when a basis of I is in hand: cached, or with a form last."""
-        return self._gb is not None or self._shifted is not None
-
     def _known_numerator(self):
         """The Hilbert numerator when no new basis is needed for it."""
-        if self._numerator is None and self._gb is None:
+        if self._numerator is None and not self._bases:
             return None
         return self.hilbert_numerator()
 
@@ -320,7 +329,7 @@ class Ideal:
         ideal J = (l_1, ..., l_r), I : J^infinity is the intersection of
         the I : l_i^infinity, and it is I as soon as one l_i strips nothing:
         that l_i is a nonzerodivisor on R/I, so no associated prime
-        contains J.  The last variable goes first, on the cached basis.
+        contains J.  The last variable goes first, on the ring's own basis.
         """
         if isinstance(by, str):
             by = self.ring.parse(by)
@@ -351,17 +360,16 @@ class Ideal:
         coordinates where ell is the last variable x, a degrevlex Groebner
         basis of I, with min(cap, k) powers of x divided out of each element
         divisible by exactly x^k, is a Groebner basis of I : x^cap.  The
-        basis is reduced, so it strips nothing exactly when I : ell = I, and
-        then self itself is returned.  Results are kept per ideal, keyed by
-        ell up to a scalar and by cap.
+        basis is the table's entry for ell (`_basis_with_last`).  It is
+        reduced, so it strips nothing exactly when I : ell = I, and then
+        self itself is returned.  Results are kept per ideal, keyed by ell
+        up to a scalar and by cap.
 
-        A new result keeps the stripped basis, interreduced, as its own
-        basis with ell last, under the same change of coordinates: it is
-        the reduced basis of the image of I : ell^cap.  So its membership
-        and equality tests, and a later colon by ell, need no basis of it.
-        It also carries the Hilbert numerator of those leading terms, since
-        a linear change of coordinates keeps the Hilbert function, so a
-        basis of it in the original coordinates is Hilbert-driven.
+        A new result enters the stripped basis, interreduced, in its own
+        table under ell, with the same work ring and image map: it is the
+        reduced basis of the image of I : ell^cap.  So its membership and
+        equality tests, its Hilbert numerator and a later colon by ell need
+        no new basis, and its other bases are Hilbert-driven.
         """
         ring = self.ring
         if ell.ring != ring:
@@ -379,7 +387,7 @@ class Ideal:
         if key in self._colons:
             # None stands for self, which is not stored in its own memo
             return self._colons[key] or self
-        ell, work, image, gb = self._basis_with_last(coeffs)
+        work, image, gb = self._basis_with_last(coeffs)
         stripped = []
         for g in gb:
             k = min(cap, min(m[-1] for m in g.terms))
@@ -390,66 +398,57 @@ class Ideal:
         if all(g is h for g, h in zip(stripped, gb)):
             out = self
         else:
+            ell = ring.linear_form(coeffs)
             if len(ell.terms) == 1:
                 gens = [g.map_to(ring) for g in stripped]
             else:
                 x = work.variables[-1]
                 gens = [g.substitute({x: ell}, ring) for g in stripped]
+            out = Ideal(ring, gens)
             # reduced, so that a later colon by ell strips nothing exactly
             # when it is the same ideal
-            basis = interreduce(stripped)
-            # a linear change of coordinates keeps the Hilbert function
-            out = Ideal(ring, gens, _numerator=tuple(
-                monomial_hilbert_numerator(
-                    [g.leading_monomial() for g in basis], ring.nvars)))
-            out._shifted = (coeffs, work, image, basis)
+            out._bases[coeffs] = (work, image, tuple(interreduce(stripped)))
         self._colons[key] = None if out is self else out
         return out
 
     def _basis_with_last(self, coeffs):
-        """Reduced degrevlex basis of I with a linear form as last variable.
+        """The table's entry for a linear form ell: (work, image, gb).
 
-        `coeffs` are the coefficients of the form ell, its last nonzero
-        one, on x, equal to 1.  Returns (ell, work, image, gb): `work` is
-        the degrevlex ring with x moved last, `image` the map from the ring
-        to `work` by x -> 2x - ell, which sends ell to x (a renaming when
-        ell is x), and gb the reduced basis of the image of I.
-
-        The kept basis is used when it has ell last: the one a linear colon
-        made this ideal from (`_colon_linear`), or the latest one computed
-        here.  Else, when ell is the ring's last variable, gb is the cached
-        basis.  Else a new basis is computed and kept (see `contains`); it
-        is Hilbert-driven when the numerator of I is known, and it records
-        that numerator when not: a linear change of coordinates keeps the
-        Hilbert function.
+        `coeffs` are the coefficients of ell, its last nonzero one, on x,
+        equal to 1.  `work` is the degrevlex ring with x moved last (the
+        ring itself when x is last), `image` the map from the ring to
+        `work` by x -> 2x - ell, which sends ell to x (a renaming when ell
+        is x, the identity when x is also last), and gb the reduced basis of
+        the image of I.  This is the one place a basis of I is computed.
+        A new entry is Hilbert-driven when the numerator of I is known or
+        another entry is in the table: a linear change of coordinates keeps
+        the Hilbert function.
         """
+        entry = self._bases.get(coeffs)
+        if entry is not None:
+            return entry
         ring = self.ring
-        ell = ring.linear_form(coeffs)
-        if self._shifted is not None and self._shifted[0] == coeffs:
-            return (ell,) + self._shifted[1:]
-        x = ring.variables[max(i for i, c in enumerate(coeffs) if c)]
-        work = ring.with_variables(
+        j = max(i for i, c in enumerate(coeffs) if c)
+        x = ring.variables[j]
+        work = ring if j == ring.nvars - 1 else ring.with_variables(
             tuple(v for v in ring.variables if v != x) + (x,))
-        if len(ell.terms) == 1:
-            def image(g):
-                return g.map_to(work)
-            if work == ring:
-                return ell, work, image, self.groebner_basis()
-        else:
+        ell = ring.linear_form(coeffs)
+        if len(ell.terms) > 1:
             xw = work.variable(x)
             xw = xw + xw - ell.map_to(work)
 
             def image(g):
                 return g.substitute({x: xw}, work)
-        # the numerator is free once the basis of I is known
-        known = self._numerator is not None or self._gb is not None
-        gb = buchberger([image(g) for g in self.generators],
-                        self.hilbert_numerator() if known else None)
-        if not known:
-            self._numerator = tuple(monomial_hilbert_numerator(
-                [g.leading_monomial() for g in gb], ring.nvars))
-        self._shifted = (coeffs, work, image, gb)
-        return ell, work, image, gb
+        elif work is ring:
+            image = _identity
+        else:
+            def image(g):
+                return g.map_to(work)
+        known = self._numerator is not None or self._bases
+        gb = tuple(buchberger([image(g) for g in self.generators],
+                              self.hilbert_numerator() if known else None))
+        entry = self._bases[coeffs] = (work, image, gb)
+        return entry
 
     def irrelevant_ideal(self):
         return Ideal(self.ring, self.ring.gens())
@@ -460,9 +459,10 @@ class Ideal:
     # -- Hilbert data --------------------------------------------------------
 
     def hilbert_numerator(self):
-        """Coefficients of N(z) with Series(R/I) = N(z)/(1-z)^nvars."""
+        """Coefficients of N(z) with Series(R/I) = N(z)/(1-z)^nvars, read
+        off the leading terms of any basis in the table."""
         if self._numerator is None:
-            lts = [g.leading_monomial() for g in self.groebner_basis()]
+            lts = [g.leading_monomial() for g in self._any_basis()[2]]
             self._numerator = tuple(
                 monomial_hilbert_numerator(lts, self.ring.nvars))
         return self._numerator
@@ -520,7 +520,7 @@ class Ideal:
         Up to three attempts each try dim(R/I) linear forms, every one
         regular modulo I and the forms before it.  An attempt that succeeds
         proves R/I Cohen-Macaulay.  The first attempt starts with the ring's
-        last variable when that strips nothing from the cached basis (see
+        last variable when that strips nothing from the ring's own basis (see
         `_colon_linear`), which costs no further basis; every other form is
         seeded and random.  False is not a proof, since a random form can
         lie in an associated prime by chance: its certificate records
@@ -568,8 +568,8 @@ class Ideal:
         of I : x^infinity in which no leading term involves x
         (Bayer-Stillman; see `_colon_linear`).  So setting x = 1 in it,
         which is setting x = 1 in the basis of I, gives a Groebner basis of
-        the affine ideal.  For the chart x_n = 1 that basis is the cached
-        one, reduced when x_n is a nonzerodivisor.  A chart is taken when
+        the affine ideal.  For the chart x_n = 1 that basis is the ring's
+        own, reduced when x_n is a nonzerodivisor.  A chart is taken when
         its algebra has dimension deg(I), that is when no point lies on
         ell = 0.
 
@@ -578,7 +578,7 @@ class Ideal:
         """
         deg = self.degree()
         for coeffs in _chart_forms(self.ring, seed):
-            ell, work, _, gb = self._basis_with_last(coeffs)
+            work, _, gb = self._basis_with_last(coeffs)
             x = work.variables[-1]
             aff = work.drop(x)
             gb = [_dehomogenize(g, aff) for g in gb]
@@ -587,7 +587,8 @@ class Ideal:
                 coords = {v: aff.variable(v) for v in aff.variables}
                 # x is 2x - ell in the new coordinates, taken at x = 1
                 xw = work.variable(x)
-                coords[x] = _dehomogenize(xw + xw - ell.map_to(work), aff)
+                ell = self.ring.linear_form(coeffs).map_to(work)
+                coords[x] = _dehomogenize(xw + xw - ell, aff)
                 return aff, gb, std, coords
         raise GenericityError("no chart holds all %d points" % deg)
 
@@ -623,25 +624,6 @@ class Ideal:
                 out.append(img.map_to(ring2))
         return Ideal(ring2, out)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self):
-        return {
-            "ring": {
-                "vars": list(self.ring.variables),
-                "prime": self.ring.prime,
-                "order": self.ring.order.kind,
-            },
-            "generators": [str(g) for g in self.generators],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        order = MonomialOrder(data["ring"].get("order", "degrevlex"))
-        ring = PolyRing(data["ring"]["vars"], data["ring"].get("prime", 32003),
-                        order)
-        return cls.from_strings(ring, data["generators"])
-
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -666,7 +648,18 @@ def _exact_div(g, f):
 
 def _unit_ideal(ring):
     one = ring.one()
-    return Ideal(ring, [one], _gb=(one,))
+    out = Ideal(ring, [one])
+    out._bases[_last_key(ring)] = (ring, _identity, (one,))
+    return out
+
+
+def _identity(g):
+    return g
+
+
+def _last_key(ring):
+    """The table key of the ring's last variable (see `Ideal._bases`)."""
+    return (0,) * (ring.nvars - 1) + (1,)
 
 
 def _dehomogenize(g, aff):
@@ -680,11 +673,11 @@ def _dehomogenize(g, aff):
 def _chart_forms(ring, seed):
     """Coefficients of the chart forms `_affine_algebra` tries: the last
     variable, then six seeded random forms with last coefficient 1."""
-    n = ring.nvars
-    yield (0,) * (n - 1) + (1,)
+    yield _last_key(ring)
     rng = random.Random("deh:%d" % seed)
     for _ in range(6):
-        yield tuple(rng.randrange(1, ring.prime) for _ in range(n - 1)) + (1,)
+        yield tuple(rng.randrange(1, ring.prime)
+                    for _ in range(ring.nvars - 1)) + (1,)
 
 
 def _random_linear_form(ring, rng):

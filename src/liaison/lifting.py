@@ -9,8 +9,9 @@ artinian monomial ideal the lift cuts out a reduced set of points.
 
 from __future__ import annotations
 
+from .groebner import minimalize
 from .ideals import Ideal
-from .rings import AlgebraError, mono_divides
+from .rings import AlgebraError
 
 
 def minimal_monomial_generators(ideal):
@@ -18,19 +19,10 @@ def minimal_monomial_generators(ideal):
 
     Raises when some generator is not a single term.
     """
-    monos = []
     for g in ideal.generators:
-        if not g:
-            continue
         if len(g.terms) != 1:
             raise AlgebraError("generator %s is not a monomial" % g)
-        monos.append(g.leading_monomial())
-    monos = sorted(set(monos), key=sum)
-    out = []
-    for m in monos:
-        if not any(mono_divides(k, m) for k in out):
-            out.append(m)
-    return out
+    return minimalize(g.leading_monomial() for g in ideal.generators)
 
 
 def lift_monomial(ring, exps, var="t"):

@@ -62,12 +62,9 @@ def is_complete_intersection_gens(ideal):
 
     Checked via codimension: c generators cutting codimension c.
     """
-    gens = [g for g in ideal.generators if g]
-    if not gens:
+    if ideal.is_zero() or ideal.is_unit():
         return False
-    if ideal.is_unit():
-        return False
-    return ideal.codim() == len(gens)
+    return ideal.codim() == len(ideal.generators)
 
 
 def ci_link(c_ideal, ideal):
@@ -144,8 +141,9 @@ def lemma_key_link(ideal, f, other):
     I : f is decided first.  When it is I, f is regular on R/I, and
     I + f·J gets its Hilbert numerator from those of I and J
     (`_regular_sum_numerator`), so its bases are Hilbert-driven.  For a
-    linear f, each colon keeps the basis it was stripped from, and the
-    equalities are decided on those bases (see `Ideal._colon_linear`).
+    linear f, each colon holds the basis it was stripped from in its table,
+    and the equalities are decided on those bases (see
+    `Ideal._colon_linear`); an equality two checks share is decided once.
     """
     if isinstance(f, str):
         f = ideal.ring.parse(f)
@@ -169,8 +167,12 @@ def lemma_key_link(ideal, f, other):
         "f_regular_on_I": regular,
         "colon_by_pair_eq_colon_by_f": q_full == q_by_f,
         "colon_by_f_eq_colon_plus_J": q_by_f == colon_plus,
-        "equals_J": q_full == other,
     }
+    # for f linear and regular, q_full is q_by_f and colon_plus is J, so
+    # the last check is the one before
+    checks["equals_J"] = (checks["colon_by_f_eq_colon_plus_J"]
+                          if q_full is q_by_f and colon_plus is other
+                          else q_full == other)
     step = LinkStep(
         kind="colon-identity",
         description="(I + f*J) : (I, f) = J with f = %s" % f,

@@ -76,6 +76,18 @@ CONFIG_ERRORS = {
     "lift_negative_bound": (["lift", "--bound", "-3"],
                             {"ring": {"vars": ["x", "y"]},
                              "monomials": [[2, 0], [0, 2]]}),
+    "generator_not_a_string": (["hvector"], {"ring": {"vars": ["x", "y"]},
+                                             "generators": [5]}),
+    "link_input_not_an_object": (["link"], 5),
+    "scheme_not_an_object": (["fatpoints"], [1, 2]),
+    "points_not_a_list": (["fatpoints"], {"points": 5}),
+    "point_not_an_object": (["fatpoints"], {"points": [[1, 0, 0, 0]]}),
+    "coords_not_a_list": (["fatpoints"], {"points": [{"coords": "abcd"}]}),
+    "mult_not_a_number": (["fatpoints"], {"points": [
+        {"coords": [1, 0, 0, 0], "mult": "two"}]}),
+    "witness_over_another_prime": (["embed"], {
+        "ideal": GOOD,
+        "witness": ideal_obj("xyzwt", ["x^2 + y*z", "x*y*z + w^3"], 101)}),
 }
 
 

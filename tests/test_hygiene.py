@@ -86,3 +86,58 @@ def test_no_unused_locals_in_the_package():
              for path in PACKAGE
              for line, name in unused_locals(path.read_text())]
     assert not found, "unused locals:\n" + "\n".join(found)
+
+
+def uncalled_private_helpers(modules, readers=None):
+    """(module, line, name) of every "_"-prefixed function or method in
+    `modules` that no expression of `modules` or `readers` names.
+
+    Each argument maps a label to a source.  A name counts as read when it
+    is a bare name or an attribute anywhere outside its own `def` line;
+    dunder methods are exempt.
+    """
+    defined = []
+    named = set()
+    for label, source in [*modules.items(), *(readers or {}).items()]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif (label in modules
+                  and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name.startswith("_")
+                  and not node.name.endswith("__")):
+                defined.append((label, node.lineno, node.name))
+    return [entry for entry in defined if entry[2] not in named]
+
+
+def test_scan_finds_an_uncalled_private_helper():
+    module = ("def _used():\n"
+              "    pass\n"
+              "def _unused():\n"
+              "    return _used()\n"
+              "class A:\n"
+              "    def __init__(self):\n"
+              "        self._helper()\n"
+              "    def _helper(self):\n"
+              "        pass\n"
+              "    def _read_elsewhere(self):\n"
+              "        pass\n")
+    reader = "print(A()._read_elsewhere())\n"
+    assert uncalled_private_helpers({"m": module}, {"r": reader}) == [
+        ("m", 3, "_unused")]
+    assert uncalled_private_helpers({"m": module}) == [
+        ("m", 3, "_unused"), ("m", 10, "_read_elsewhere")]
+
+
+def test_no_uncalled_private_helpers():
+    # the benchmark harness reads the package too: its tracer reads
+    # `Ideal._gb`
+    modules = {str(path.relative_to(ROOT)): path.read_text()
+               for path in PACKAGE}
+    readers = {str(path.relative_to(ROOT)): path.read_text()
+               for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    found = ["%s:%d: %s" % entry
+             for entry in uncalled_private_helpers(modules, readers)]
+    assert not found, "private helpers nothing calls:\n" + "\n".join(found)

@@ -13,7 +13,7 @@ from liaison.groebner import (buchberger, monomial_hilbert_numerator,
 from liaison.ideals import Ideal, normalize_point
 from liaison.lifting import lift_ideal, verify_lifting
 from liaison.links import lemma_key_link
-from liaison.rings import AlgebraError, PolyRing
+from liaison.rings import AlgebraError, MonomialOrder, PolyRing
 
 from .oracles import (affine_basis_by_dehomogenizing, ci_hilbert_numerator,
                       equal_by_reduced_bases, hilbert_by_counting,
@@ -373,13 +373,6 @@ def test_extend_then_contract_round_trip():
     assert ext.contract_set_zero("t") == ideal
 
 
-def test_json_round_trip():
-    ideal = I3("x^2 + 3*y*z", "z^3")
-    again = Ideal.from_json(ideal.to_json())
-    assert again.ring.variables == ideal.ring.variables
-    assert again == ideal
-
-
 # -- algebraic laws (property-based) ----------------------------------------
 
 @settings(max_examples=15, deadline=None)
@@ -531,9 +524,9 @@ def _normalized_coeffs(ell):
 @given(seed=small_seeds)
 def test_hinted_bases_match_unhinted(seed):
     # a random ideal, and the same times m: its basis with each kind of form
-    # last, hinted by its cached basis, and each linear colon (cap 1 and
-    # infinity), whose basis is hinted by the colon's own numerator, against
-    # the same computations on fresh ideals that know no numerator
+    # last, hinted by its ring's own basis, and each linear colon (cap 1 and
+    # infinity), whose bases are hinted by the stripped basis in its table,
+    # against the same computations on fresh ideals that know no numerator
     rng = random.Random(seed)
     a = random_ideal(R3, rng, max_deg=2)
     if a.is_zero():
@@ -543,32 +536,46 @@ def test_hinted_bases_match_unhinted(seed):
         for ell in _forms_of_each_kind(R3, rng):
             coeffs = _normalized_coeffs(ell)
             fresh = Ideal(R3, ideal.generators)
-            assert (ideal._basis_with_last(coeffs)[3]
-                    == fresh._basis_with_last(coeffs)[3])
+            assert (ideal._basis_with_last(coeffs)[2]
+                    == fresh._basis_with_last(coeffs)[2])
             for cap in (1, math.inf):
                 q = ideal._colon_linear(ell, cap)
                 if q is ideal:
                     continue
-                assert q._gb is None and q._numerator is not None
+                assert list(q._bases) == [coeffs]
                 _check_kept_colon_basis(q, ell, cap, rng)
                 other = _normalized_coeffs(rng.choice(
                     _forms_of_each_kind(R3, rng)))
-                assert q._basis_with_last(other)[3] == Ideal(
-                    R3, q.generators)._basis_with_last(other)[3]
+                assert q._basis_with_last(other)[2] == Ideal(
+                    R3, q.generators)._basis_with_last(other)[2]
                 gb = q.groebner_basis()
                 assert gb == tuple(buchberger(q.generators))
                 assert q.hilbert_numerator() == tuple(
                     monomial_hilbert_numerator(
                         [g.leading_monomial() for g in gb], R3.nvars))
+                _check_table(q)
+        _check_table(ideal)
+
+
+def _check_table(ideal):
+    """Every entry of the table is the reduced basis of the image of the
+    generators in its work ring, and each gives the numerator a fresh ideal
+    computes."""
+    expected = Ideal(ideal.ring, ideal.generators).hilbert_numerator()
+    for work, image, gb in ideal._bases.values():
+        assert gb == tuple(buchberger([image(g) for g in ideal.generators]))
+        assert all(g.ring == work for g in gb)
+        assert tuple(monomial_hilbert_numerator(
+            [g.leading_monomial() for g in gb], work.nvars)) == expected
+    assert ideal.hilbert_numerator() == expected
 
 
 def _check_kept_colon_basis(q, ell, cap, rng):
-    """The basis a colon q = I : ell^cap kept from its stripping: the reduced
-    basis of the image of q, which answers membership, regularity and later
-    colons as a fresh ideal on the same generators does."""
-    coeffs, work, image, kept = q._shifted
-    assert coeffs == _normalized_coeffs(ell)
-    assert kept == buchberger([image(g) for g in q.generators])
+    """The basis a colon q = I : ell^cap entered from its stripping: the
+    reduced basis of the image of q, which answers membership, regularity
+    and later colons as a fresh ideal on the same generators does."""
+    work, image, kept = q._bases[_normalized_coeffs(ell)]
+    assert kept == tuple(buchberger([image(g) for g in q.generators]))
     fresh = Ideal(R3, q.generators)
     top = q.max_gen_degree() + rng.randrange(2)
     member = sum((random_homogeneous(R3, top - g.degree(), rng) * g
@@ -577,7 +584,7 @@ def _check_kept_colon_basis(q, ell, cap, rng):
     tests = [member] + others + [member + others[-1]]
     assert [q.contains(f) for f in tests] == [fresh.contains(f)
                                              for f in tests]
-    assert q._gb is None
+    assert len(q._bases) == 1
     # the colon's own form first, on the kept basis; a colon by ell to the
     # infinity strips nothing more
     for form in [ell] + _forms_of_each_kind(R3, rng):
@@ -587,6 +594,27 @@ def _check_kept_colon_basis(q, ell, cap, rng):
                     == (fresh._colon_linear(form, cap2) is fresh))
     if cap == math.inf:
         assert q._colon_linear(ell, cap) is q
+
+
+def test_the_table_keeps_every_basis(monkeypatch):
+    # forms A, B, A, B of one ideal: two bases, each computed once
+    calls = _counting_buchberger(monkeypatch)
+    ideal = I3("x^2 + y*z", "y^3 - x*z^2", "x*y*z")
+    forms = [_normalized_coeffs(R3.parse(t)) for t in ("x + 2*y + 3*z",
+                                                        "y + 5*z")]
+    entries = [ideal._basis_with_last(c) for c in forms + forms]
+    assert len(calls) == 2
+    assert entries[0] is entries[2] and entries[1] is entries[3]
+    # the second basis knew the numerator the first one fixed
+    assert calls[0][1] is None and calls[1][1] == ideal.hilbert_numerator()
+    assert list(ideal._bases) == forms and ideal._gb is None
+
+
+def test_ideals_live_in_degrevlex_rings():
+    for order in (MonomialOrder("lex"), MonomialOrder("elim", 1)):
+        ring = PolyRing(("x", "y", "z"), P, order)
+        with pytest.raises(AlgebraError):
+            Ideal(ring, [ring.parse("x*y")])
 
 
 def test_hinted_colon_basis_reduces_fewer_pairs(monkeypatch):
@@ -743,7 +771,7 @@ def test_membership_through_a_shifted_basis(seed):
     tests = members + others + [m + o for m, o in zip(members, others[2:])]
     got = [a.contains(f) for f in tests]
     assert a.contains_ideal(Ideal(R3, members))
-    assert a._gb is None
+    assert list(a._bases) == [_normalized_coeffs(ell)]
     for f, answer in zip(tests, got):
         assert answer == membership_by_linear_algebra(
             f, a.generators, max(f.degree(), 0))

@@ -154,6 +154,31 @@ def test_regular_sum_numerator_matches_its_basis(seed, degree, monkeypatch):
     assert (len(combined.generators), expected) in hints
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_colon_identity_tests_each_containment_once(degree, monkeypatch):
+    # for f linear and regular, (I + f*J) : (I, f) is the colon by f and
+    # (I : f) + J is J, so two checks share one equality: J is tested
+    # against the colon's basis once
+    rng = random.Random(7200 + degree)
+    while True:
+        ideal = Ideal(R4, [random_homogeneous(R4, 2, rng) for _ in range(2)])
+        if ideal.codim() == 2:
+            break
+    other = ideal + Ideal(R4, [random_homogeneous(R4, 2, rng)])
+    f = random_homogeneous(R4, degree, rng)
+    tested = []
+    real = Ideal.contains_ideal
+
+    def recording(big, small):
+        tested.append((big, small))     # kept alive, so ids stay unique
+        return real(big, small)
+
+    monkeypatch.setattr(Ideal, "contains_ideal", recording)
+    _, step = lemma_key_link(ideal, f, other)
+    assert step.passed()
+    assert len({(id(a), id(b)) for a, b in tested}) == len(tested)
+
+
 def test_embed_and_link_preserves_hilbert_function():
     ci = I4("x0^2 + x1*x3", "x2^3")
     ext, residual, step = embed_and_link(ci)
