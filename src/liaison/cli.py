@@ -137,7 +137,8 @@ def cmd_hvector(args):
     hv = ideal.h_vector()
     report.update({
         "h_vector": list(hv),
-        "h_vector_clean": hv.clean,
+        # a negative entry: R/I is not Cohen-Macaulay
+        "h_vector_clean": min(hv) >= 0,
         "degree": ideal.degree(),
         "dim": ideal.krull_dim(),
         "codim": ideal.codim(),
@@ -271,8 +272,6 @@ def build_parser():
                              "else %d)" % DEFAULT_PRIME)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all general choices")
-    common.add_argument("--bound", type=_nonnegative_int, default=None,
-                        help="degree bound for Hilbert-function comparisons")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", default=None, help="write output here")
     parser = argparse.ArgumentParser(
@@ -298,6 +297,8 @@ def build_parser():
 
     p = sub.add_parser("lift", parents=[common], help="lift a monomial ideal and verify")
     p.add_argument("input")
+    p.add_argument("--bound", type=_nonnegative_int, default=None,
+                   help="degree bound for Hilbert-function comparisons")
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("embed", parents=[common], help="extend the ring and link off a witness")

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from . import modp
-from .ideals import GenericityError, HVector, Ideal, binom, normalize_point
+from .ideals import GenericityError, Ideal, binom, normalize_point
 from .links import LinkChainReport, LinkStep, gorenstein_sum
 from .rings import AlgebraError, PolyRing
 
@@ -194,18 +194,19 @@ def _random_plane_at(pt, rng, p):
 # h-vector formulas (closed-form oracles)
 
 def fatpoint_hvector_formula(n, a):
-    """h-vector of the a-th power of a point ideal in P^n."""
+    """h-vector of the a-th power of a point ideal in P^n, as a tuple."""
     if n < 1 or a < 1:
         raise AlgebraError("need n >= 1 and a >= 1")
-    return HVector(tuple(binom(n - 1 + i, i) for i in range(a)))
+    return tuple(binom(n - 1 + i, i) for i in range(a))
 
 
 def gorenstein_X_hvector_formula(n, a):
-    """h-vector of the Gorenstein scheme linking the fat point one step down."""
+    """h-vector of the Gorenstein scheme linking the fat point one step
+    down, as a tuple."""
     if n < 1 or a < 1:
         raise AlgebraError("need n >= 1 and a >= 1")
     up = [binom(n - 1 + i, i) for i in range(a)]
-    return HVector(tuple(up + up[-2::-1]))
+    return tuple(up + up[-2::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,7 @@ def grid_curves(ring, point, na, nb, seed=0, avoid=()):
     if na < 1 or nb < 1:
         raise AlgebraError("need positive form counts")
     m = min(na, nb)
-    target = HVector(tuple(range(1, m + 1)))
+    target = tuple(range(1, m + 1))
     power = fat_point_ideal(ring, point, m)
     for attempt in range(GRID_TRIES):
         forms = general_forms_through(ring, point, na + nb,
@@ -237,9 +238,7 @@ def grid_curves(ring, point, na, nb, seed=0, avoid=()):
         ideal_c = _lines_ideal(ring, [lines[ij] for ij in selected])
         ideal_d = _lines_ideal(ring, [key for (i, j), key in lines.items()
                                       if i + j > m - 1])
-        if ideal_c.h_vector().entries != target.entries:
-            continue
-        if ideal_d.h_vector().entries != target.entries:
+        if ideal_c.h_vector() != target or ideal_d.h_vector() != target:
             continue
         if not (power.contains_ideal(ideal_c)
                 and power.contains_ideal(ideal_d)):
@@ -286,15 +285,16 @@ def single_fatpoint_link_step(ring, point, a, seed=0):
     gor, cert = gorenstein_sum(sel.ideal_c, sel.ideal_d, seed=seed)
     gor = gor.saturate_irrelevant()
     expected = gorenstein_X_hvector_formula(3, a)
+    hv = gor.h_vector()
     checks = {
         "gorenstein_certificate": cert["gorenstein"],
-        "h_vector_matches_formula": gor.h_vector().entries == expected.entries,
+        "h_vector_matches_formula": hv == expected,
         "contained_in_power": pa.contains_ideal(gor),
     }
     report.add(LinkStep(
         kind="gorenstein-sum",
-        description="X = C meet D, h-vector %s" % gor.h_vector(),
-        data={"h_vector": list(gor.h_vector()), "degree": gor.degree()},
+        description="X = C meet D, h-vector (%s)" % ", ".join(map(str, hv)),
+        data={"h_vector": list(hv), "degree": gor.degree()},
         checks=checks,
     ))
 
@@ -675,7 +675,7 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
         focus_piece == (sel.ideal_c + sel.ideal_d).saturate_irrelevant())
     gcheck["focus_h_vector"] = (
         focus_piece is not None
-        and focus_piece.h_vector().entries == formula.entries)
+        and focus_piece.h_vector() == formula)
     for pt, (lf, mf, nf) in fat_forms.items():
         tri = Ideal(ring, [_product(ring, lf), _product(ring, mf),
                            _product(ring, nf)])

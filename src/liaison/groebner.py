@@ -21,7 +21,9 @@ remaining pairs of degree d are dropped unreduced.  The numerator of in(G)
 is recomputed only after G grows.  The hint must be exact, and it is
 refused for inhomogeneous generators, whose reductions do not stay in one
 degree.  Numerators of monomial ideals come from the pivot-variable
-recursion below, which :mod:`liaison.ideals` shares.
+recursion below.  The numerator is the one stored form of Hilbert data in
+the package: the arithmetic on numerators, and the factoring by (1-z) that
+reads off dimension, degree and h-vector, live here too.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .rings import (
 
 
 # ---------------------------------------------------------------------------
-# Hilbert numerator of a monomial ideal (pivot-variable recursion)
+# Hilbert numerators: arithmetic, and those of monomial ideals
+# (pivot-variable recursion)
 
 def minimalize(gens):
     """The minimal generators of the monomial ideal that exponent vectors
@@ -52,21 +55,56 @@ def minimalize(gens):
     return out
 
 
-def _num_add(a, b):
+def num_add(a, b):
+    """a(z) + b(z), trailing zeros cut."""
     n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)]
+    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+           for i in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def _num_shift(a, k):
+def num_shift(a, k):
+    """z^k a(z)."""
     return [0] * k + list(a)
 
 
-def _num_mul_one_minus_zd(a, d):
+def num_mul_one_minus_zd(a, d):
+    """(1 - z^d) a(z)."""
     out = list(a) + [0] * d
     for i, c in enumerate(a):
         out[i + d] -= c
     return out
+
+
+def strip_one_minus_z(num):
+    """Factor N = (1-z)^k * M with M(1) != 0; returns (k, M), or (None, [])
+    for N = 0.
+
+    For N the Hilbert numerator of R/I in n variables, n - k is the Krull
+    dimension of R/I, M its h-vector and M(1) its degree.
+    """
+    num = list(num)
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
+        return None, []
+    k = 0
+    while sum(num) == 0:
+        # synthetic division by (1 - z): q_i = sum of first i+1 coefficients
+        acc = 0
+        q = []
+        for c in num[:-1]:
+            acc += c
+            q.append(acc)
+        num = q
+        while num and num[-1] == 0:
+            num.pop()
+        k += 1
+        if not num:
+            return None, []
+    return k, num
 
 
 def monomial_hilbert_numerator(gens, nvars):
@@ -94,7 +132,7 @@ def monomial_hilbert_numerator(gens, nvars):
             if coprime:
                 res = [1]
                 for g in gs:
-                    res = _num_mul_one_minus_zd(res, sum(g))
+                    res = num_mul_one_minus_zd(res, sum(g))
             else:
                 counts = [0] * nvars
                 for g in gs:
@@ -107,7 +145,7 @@ def monomial_hilbert_numerator(gens, nvars):
                 quot = minimalize([tuple(e - 1 if i == v and e else e
                                           for i, e in enumerate(g))
                                     for g in gs])
-                res = _num_add(rec(tuple(plus)), _num_shift(rec(tuple(quot)), 1))
+                res = num_add(rec(tuple(plus)), num_shift(rec(tuple(quot)), 1))
         memo[key] = res
         return res
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from . import modp
 from .groebner import (buchberger, hilbert_function_from_numerator,
-                       interreduce, monomial_hilbert_numerator, reducer)
+                       interreduce, monomial_hilbert_numerator, reducer,
+                       strip_one_minus_z)
 from .rings import (AlgebraError, RingMismatchError, MonomialOrder,
                     Polynomial, mono_div, mono_divides)
 
@@ -23,64 +23,10 @@ class GenericityError(AlgebraError):
     """A randomized 'general' choice failed repeatedly."""
 
 
-@dataclass(frozen=True)
-class HVector:
-    """h-vector: iterated difference of a Hilbert function, trailing zeros cut.
-
-    clean is False when a negative entry showed up (input not ACM or not
-    saturated); the entries are still reported as computed.
-    """
-
-    entries: tuple
-    clean: bool = True
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def is_symmetric(self):
-        return self.entries == tuple(reversed(self.entries))
-
-    def to_json(self):
-        return list(self.entries)
-
-    def __str__(self):
-        return "(%s)" % ", ".join(str(v) for v in self.entries)
-
-
 def binom(n, k):
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def _strip_one_minus_z(num):
-    """Factor N = (1-z)^k * M with M(1) != 0; returns (k, M)."""
-    num = list(num)
-    while num and num[-1] == 0:
-        num.pop()
-    if not num:
-        return None, []
-    k = 0
-    while sum(num) == 0:
-        # synthetic division by (1 - z): q_i = sum of first i+1 coefficients
-        acc = 0
-        q = []
-        for c in num[:-1]:
-            acc += c
-            q.append(acc)
-        num = q
-        while num and num[-1] == 0:
-            num.pop()
-        k += 1
-        if not num:
-            return None, []
-    return k, num
 
 
 class Ideal:
@@ -119,7 +65,6 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._numerator = _numerator
-        self._dim_deg = None
         self._colons = None
         # coefficients of ell -> (work ring, image map, reduced basis with
         # ell last), see `_basis_with_last`
@@ -472,36 +417,30 @@ class Ideal:
         return hilbert_function_from_numerator(self.hilbert_numerator(),
                                                self.ring.nvars, d)
 
-    def _dim_degree(self):
-        if self._dim_deg is None:
-            k, m = _strip_one_minus_z(self.hilbert_numerator())
-            if k is None:  # unit ideal
-                self._dim_deg = (0, None)
-            else:
-                self._dim_deg = (self.ring.nvars - k, sum(m))
-        return self._dim_deg
-
     def krull_dim(self):
         """Krull dimension of R/I (the affine cone); 0 for the unit ideal."""
-        return self._dim_degree()[0]
+        k, _ = strip_one_minus_z(self.hilbert_numerator())
+        return 0 if k is None else self.ring.nvars - k
 
     def codim(self):
         return self.ring.nvars - self.krull_dim()
 
     def degree(self):
-        d = self._dim_degree()[1]
-        if d is None:
+        """deg(R/I): the h-vector's sum; the colength when R/I is Artinian."""
+        k, m = strip_one_minus_z(self.hilbert_numerator())
+        if k is None:
             raise AlgebraError("the unit ideal has no degree")
-        return d
+        return sum(m)
 
     def h_vector(self):
-        """dim(R/I)-fold first difference of the Hilbert function."""
-        k, m = _strip_one_minus_z(self.hilbert_numerator())
+        """The h-vector as a tuple: N(z) = (1-z)^codim * h(z), for N the
+        Hilbert numerator.  It is the dim(R/I)-fold first difference of the
+        Hilbert function, cut at its last nonzero entry; a negative entry
+        shows that R/I is not Cohen-Macaulay."""
+        k, m = strip_one_minus_z(self.hilbert_numerator())
         if k is None:
             raise AlgebraError("the unit ideal has no h-vector")
-        entries = tuple(m)
-        clean = all(c >= 0 for c in entries)
-        return HVector(entries, clean)
+        return tuple(m)
 
     # -- regularity / CM / reducedness ---------------------------------------
 
@@ -510,8 +449,6 @@ class Ideal:
             f = self.ring.parse(f)
         if not f:
             return False
-        if f.degree() == 1 and f.is_homogeneous():
-            return self._colon_linear(f, 1) is self
         return self.quotient(f) == self
 
     def cm_test(self, seed=0):
@@ -571,25 +508,21 @@ class Ideal:
         the affine ideal.  For the chart x_n = 1 that basis is the ring's
         own, reduced when x_n is a nonzerodivisor.  A chart is taken when
         its algebra has dimension deg(I), that is when no point lies on
-        ell = 0.
+        ell = 0.  That dimension is read off the leading terms: in the
+        n - 1 affine variables their numerator is (1-z)^(n-1)·M exactly
+        when the algebra is finite, and then M(1) is its dimension.
 
-        Returns (affine ring, GB, standard monomials, coordinate map) where
-        the coordinate map sends each original variable to its affine image.
+        Returns (affine ring, GB).
         """
         deg = self.degree()
         for coeffs in _chart_forms(self.ring, seed):
             work, _, gb = self._basis_with_last(coeffs)
-            x = work.variables[-1]
-            aff = work.drop(x)
+            aff = work.drop(work.variables[-1])
             gb = [_dehomogenize(g, aff) for g in gb]
-            std = _standard_monomials(gb, aff, deg)
-            if std is not None and len(std) == deg:
-                coords = {v: aff.variable(v) for v in aff.variables}
-                # x is 2x - ell in the new coordinates, taken at x = 1
-                xw = work.variable(x)
-                ell = self.ring.linear_form(coeffs).map_to(work)
-                coords[x] = _dehomogenize(xw + xw - ell, aff)
-                return aff, gb, std, coords
+            k, m = strip_one_minus_z(monomial_hilbert_numerator(
+                [g.leading_monomial() for g in gb], aff.nvars))
+            if k == aff.nvars and sum(m) == deg:
+                return aff, gb
         raise GenericityError("no chart holds all %d points" % deg)
 
     def is_reduced_zero_dim(self, seed=0):
@@ -604,7 +537,7 @@ class Ideal:
         """
         if self.krull_dim() != 1:
             raise AlgebraError("is_reduced_zero_dim needs dim(R/I) = 1")
-        aff, gb, _, _ = self._affine_algebra(seed)
+        aff, gb = self._affine_algebra(seed)
         nf = reducer(gb, aff)
         return all(modp.is_squarefree(_minimal_polynomial(x, nf), aff.prime)
                    for x in aff.gens())
@@ -695,32 +628,6 @@ def normalize_point(point, p):
             inv = pow(c, p - 2, p)
             return tuple((v * inv) % p for v in point)
     raise AlgebraError("zero vector is not a projective point")
-
-
-def _standard_monomials(gb, ring, max_dim):
-    """Monomials outside the leading-term ideal; None if more than max_dim."""
-    if any(g.is_constant() for g in gb):
-        return []
-    lts = [g.leading_monomial() for g in gb]
-    n = ring.nvars
-    start = (0,) * n
-    seen = {start}
-    queue = [start]
-    out = []
-    while queue:
-        m = queue.pop()
-        if any(mono_divides(lt, m) for lt in lts):
-            continue
-        out.append(m)
-        if len(out) > max_dim:
-            return None
-        for i in range(n):
-            m2 = tuple(e + 1 if j == i else e for j, e in enumerate(m))
-            if m2 not in seen:
-                seen.add(m2)
-                queue.append(m2)
-    out.sort(key=ring.order.key)
-    return out
 
 
 def _minimal_polynomial(x, nf):

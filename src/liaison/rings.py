@@ -44,7 +44,7 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p):
-        if not is_prime(p):
+        if not isinstance(p, int) or not is_prime(p):
             raise AlgebraError("field characteristic %r is not prime" % (p,))
         self.p = p
 
@@ -128,14 +128,14 @@ def mono_lcm(a, b):
 class MonomialOrder:
     """Total multiplicative well-order on exponent tuples.
 
-    kind is "degrevlex", "lex" or "elim"; for "elim", the first `block`
+    kind is "degrevlex" or "elim"; for "elim", the first `block`
     variables are eliminated (compared first, each block by degrevlex).
     """
 
     __slots__ = ("kind", "block")
 
     def __init__(self, kind="degrevlex", block=0):
-        if kind not in ("degrevlex", "lex", "elim"):
+        if kind not in ("degrevlex", "elim"):
             raise AlgebraError("unknown monomial order %r" % (kind,))
         if kind == "elim" and block < 1:
             raise AlgebraError("elimination order needs a positive block size")
@@ -146,8 +146,6 @@ class MonomialOrder:
         """Sort key; larger key = larger monomial."""
         if self.kind == "degrevlex":
             return (sum(m), tuple(-e for e in reversed(m)))
-        if self.kind == "lex":
-            return m
         k = self.block
         head, tail = m[:k], m[k:]
         return (
@@ -174,7 +172,6 @@ class MonomialOrder:
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
-LEX = MonomialOrder("lex")
 
 
 class PolyRing:
@@ -472,20 +469,6 @@ class Polynomial:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __pow__(self, n):
-        if n < 0:
-            raise AlgebraError("negative polynomial power")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -4,7 +4,9 @@ Everything here takes a different route from the code under test:
 normal forms by plain division in Polynomial arithmetic, instead of the
 prepared reducers of the Groebner engine, membership by degree-truncated
 linear algebra, equality by fresh reduced bases, Hilbert functions by
-monomial counting, sympy as an external basis oracle, quotients through
+monomial counting, instead of Hilbert numerators, and so colengths,
+degrees and the dimension of an affine algebra by counting standard
+monomials, sympy as an external basis oracle, quotients through
 an elimination basis, saturation as an iterated quotient, instead of one
 stripped Groebner basis, the affine chart of a scheme by Buchberger on
 the dehomogenized generators, instead of the dehomogenized projective
@@ -122,8 +124,20 @@ def substitute_termwise(f, assignment, ring):
                 img = ring.variable(v)
             elif isinstance(img, int):
                 img = ring.constant(img)
-            term = term * img ** e
+            term = term * power(img, e)
         out = out + term
+    return out
+
+
+def power(f, e):
+    """f^e by repeated squaring."""
+    out = f.ring.one()
+    while e:
+        if e & 1:
+            out = out * f
+        e >>= 1
+        if e:
+            f = f * f
     return out
 
 
@@ -141,6 +155,74 @@ def hilbert_by_counting(lead_monomials, n, d):
         if not any(mono_divides(g, m) for g in lead_monomials):
             count += 1
     return count
+
+
+def fresh_leading_monomials(ideal):
+    """Leading monomials of a reduced basis computed afresh from the
+    generators, whatever the ideal has cached."""
+    return [g.leading_monomial() for g in buchberger(ideal.generators)]
+
+
+def numerator_degree_bound(lead_monomials):
+    """A degree past every coefficient of the Hilbert numerator of the
+    monomial ideal: the degree of the lcm of its generators, since the
+    numerator is the alternating sum of z^deg lcm(S) over the subsets S
+    (Taylor's resolution).  From that degree on, the Hilbert function is
+    the Hilbert polynomial."""
+    return sum(max(e) for e in zip(*lead_monomials)) if lead_monomials else 0
+
+
+def hilbert_functions_by_counting(ideal, top):
+    """[dim (R/I)_d for d = 0..top], counted on fresh leading monomials."""
+    lts = fresh_leading_monomials(ideal)
+    return [hilbert_by_counting(lts, ideal.ring.nvars, d)
+            for d in range(top + 1)]
+
+
+def colength_by_counting(ideal):
+    """dim_K R/I for an Artinian R/I: its Hilbert function, counted on
+    fresh leading monomials, summed up to the first degree where it is 0."""
+    lts = fresh_leading_monomials(ideal)
+    total, d = 0, 0
+    while True:
+        h = hilbert_by_counting(lts, ideal.ring.nvars, d)
+        if not h:
+            return total
+        total += h
+        d += 1
+
+
+def degree_by_counting(ideal):
+    """deg(I) for dim(R/I) = 1: the Hilbert function, counted on fresh
+    leading monomials, at a degree where it is the (constant) Hilbert
+    polynomial."""
+    lts = fresh_leading_monomials(ideal)
+    return hilbert_by_counting(lts, ideal.ring.nvars,
+                               numerator_degree_bound(lts))
+
+
+def standard_monomials(lead_monomials, n, cap=None):
+    """The monomials in n variables that no leading monomial divides, in
+    increasing tuple order, enumerated upward from 1 one variable at a
+    time; None once there are more than `cap`.  Without a cap they must be
+    finitely many."""
+    start = (0,) * n
+    seen = {start}
+    queue = [start]
+    out = []
+    while queue:
+        m = queue.pop()
+        if any(mono_divides(lt, m) for lt in lead_monomials):
+            continue
+        out.append(m)
+        if cap is not None and len(out) > cap:
+            return None
+        for i in range(n):
+            m2 = m[:i] + (m[i] + 1,) + m[i + 1:]
+            if m2 not in seen:
+                seen.add(m2)
+                queue.append(m2)
+    return sorted(out)
 
 
 def sympy_groebner(ring, texts):
@@ -268,8 +350,10 @@ def reduced_by_charpoly(ideal, seed):
     random linear multiplier on the chart `_affine_algebra(seed)` picks has
     a squarefree characteristic polynomial of degree deg(I), which proves
     the scheme reduced; False after two multipliers fail, which proves
-    nothing, since a multiplier may take one value at two points."""
-    aff, gb, std, _ = ideal._affine_algebra(seed)
+    nothing, since a multiplier may take one value at two points.  The
+    algebra's basis of standard monomials is counted here."""
+    aff, gb = ideal._affine_algebra(seed)
+    std = standard_monomials([g.leading_monomial() for g in gb], aff.nvars)
     for attempt in range(2):
         rng = random.Random("red:%d:%d" % (seed, attempt))
         lam = _random_linear_form(aff, rng)

@@ -88,6 +88,13 @@ CONFIG_ERRORS = {
     "witness_over_another_prime": (["embed"], {
         "ideal": GOOD,
         "witness": ideal_obj("xyzwt", ["x^2 + y*z", "x*y*z + w^3"], 101)}),
+    "hvector_prime_not_an_int": (["hvector"],
+                                 ideal_obj("xy", ["x^2", "y"], 7.0)),
+    "double_step_prime_not_an_int": (["fatpoints", "--double-step"], {
+        "prime": 7.0, "points": [{"coords": [1, 0, 0, 0], "mult": 2},
+                                 {"coords": [0, 1, 0, 0], "mult": 1}]}),
+    # only lift compares Hilbert functions up to a bound
+    "hvector_bound": (["hvector", "--bound", "3"], GOOD),
 }
 
 

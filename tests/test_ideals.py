@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 from liaison import groebner, ideals, modp
 from liaison.groebner import (buchberger, monomial_hilbert_numerator,
                               normal_form)
-from liaison.ideals import Ideal, normalize_point
+from liaison.ideals import GenericityError, Ideal, normalize_point
 from liaison.lifting import lift_ideal, verify_lifting
 from liaison.links import lemma_key_link
 from liaison.rings import AlgebraError, MonomialOrder, PolyRing
 
 from .oracles import (affine_basis_by_dehomogenizing, ci_hilbert_numerator,
-                      equal_by_reduced_bases, hilbert_by_counting,
-                      membership_by_linear_algebra, quotient_by_elimination,
-                      mult_matrix, random_form_through, random_homogeneous,
-                      reduced_by_charpoly, saturate_by_quotients)
+                      degree_by_counting, equal_by_reduced_bases,
+                      hilbert_by_counting, membership_by_linear_algebra,
+                      quotient_by_elimination, mult_matrix,
+                      random_form_through, random_homogeneous,
+                      reduced_by_charpoly, saturate_by_quotients,
+                      standard_monomials)
 
 P = 32003
 R3 = PolyRing(("x", "y", "z"), P)
@@ -188,7 +190,7 @@ def test_dimension_degree_twisted_cubic():
     assert cubic.krull_dim() == 2          # a curve in P^3 (cone dim 2)
     assert cubic.codim() == 2
     assert cubic.degree() == 3
-    assert cubic.h_vector().entries == (1, 2)
+    assert cubic.h_vector() == (1, 2)
 
 
 def test_degree_of_unit_ideal_rejected():
@@ -231,7 +233,7 @@ def test_reducedness_sees_a_double_point_in_one_coordinate(texts):
     # on the chart z = 1 the tangent of the double point is a coordinate
     # axis: only one coordinate's minimal polynomial is a square
     fat = I3(*texts)
-    (aff, gb, _, _) = fat._affine_algebra(0)
+    aff, gb = fat._affine_algebra(0)
     nf = groebner.reducer(gb, aff)
     mus = [ideals._minimal_polynomial(x, nf) for x in aff.gens()]
     assert sorted(mus) == [[0, 0, 1], [0, 1]]
@@ -287,12 +289,16 @@ def test_charts_skip_points_on_their_hyperplanes():
     assert [any(sum(c * x for c, x in zip(chart, pt)) % P == 0
                 for pt in pts) for chart in charts[:3]] == [True, True, False]
     ideal = _points_ideal(R3, pts)
-    aff, gb, std, coords = ideal._affine_algebra(seed)
-    assert len(std) == 3
-    # z = 1 - a*x - b*y on the chart a*x + b*y + z = 1
-    assert coords["z"] == R3.with_variables(("x", "y")).parse(
-        "1 - %d*x - %d*y" % charts[2][:2])
+    aff, gb = ideal._affine_algebra(seed)
+    assert len(_standard(gb, aff)) == 3
+    assert (aff, buchberger(gb)) == affine_basis_by_dehomogenizing(ideal,
+                                                                  charts[2])
     assert ideal.is_reduced_zero_dim(seed=seed)
+
+
+def _standard(gb, aff):
+    """The standard monomials of a finite affine algebra, counted."""
+    return standard_monomials([g.leading_monomial() for g in gb], aff.nvars)
 
 
 @settings(max_examples=12, deadline=None)
@@ -309,8 +315,8 @@ def test_chart_basis_matches_dehomogenized_generators(seed, on_last,
     if embedded:
         # every chart form is then a zerodivisor
         ideal = ideal * ideal.irrelevant_ideal()
-    aff, gb, std, _ = ideal._affine_algebra(seed)
-    assert len(std) == ideal.degree() == len(pts)
+    aff, gb = ideal._affine_algebra(seed)
+    assert len(_standard(gb, aff)) == ideal.degree() == len(pts)
     # the first chart form that vanishes at none of the points
     chart = next(c for c in ideals._chart_forms(R3, seed)
                  if all(sum(a * x for a, x in zip(c, pt)) % P for pt in pts))
@@ -320,6 +326,66 @@ def test_chart_basis_matches_dehomogenized_generators(seed, on_last,
     # a Groebner basis of the chart's ideal, reduced when the chart form is
     # a nonzerodivisor
     assert (gb if not embedded else buchberger(gb)) == ref
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=small_seeds, saturated=st.booleans(),
+       on_chart=st.sampled_from([None, 0, 1]))
+def test_chart_acceptance_matches_counted_standard_monomials(seed, saturated,
+                                                             on_chart):
+    # on every chart form, the affine algebra's dimension read off the
+    # numerator of its leading terms is the count of its standard
+    # monomials, and the chart taken is the first with deg(I) of them; a
+    # point may lie on the first or the second chart's hyperplane, and the
+    # ideal may not be saturated
+    rng = random.Random(seed)
+    charts = list(ideals._chart_forms(R3, seed))
+    pts = {normalize_point([rng.randrange(1, P) for _ in range(3)], P)
+           for _ in range(rng.randrange(1, 4))}
+    if on_chart is not None:
+        a, b, _ = charts[on_chart]
+        y = rng.randrange(P)
+        pts.add(normalize_point([1, y, -(a + b * y)], P))
+    pts = sorted(pts)
+    ideal = _points_ideal(R3, pts)
+    if not saturated:
+        ideal = ideal * ideal.irrelevant_ideal()
+    deg = degree_by_counting(ideal)
+    assert ideal.degree() == deg == len(pts)
+    taken = None
+    for chart in charts:
+        aff, ref = affine_basis_by_dehomogenizing(ideal, chart)
+        lts = [g.leading_monomial() for g in ref]
+        std = standard_monomials(lts, aff.nvars)
+        k, m = groebner.strip_one_minus_z(
+            monomial_hilbert_numerator(lts, aff.nvars))
+        assert k == aff.nvars and sum(m) == len(std)
+        if taken is None and len(std) == deg:
+            taken = (chart, aff, ref)
+    if taken is None:
+        with pytest.raises(GenericityError):
+            ideal._affine_algebra(seed)
+        return
+    assert on_chart is None or taken[0] != charts[on_chart]
+    aff, gb = ideal._affine_algebra(seed)
+    assert (aff, buchberger(gb)) == taken[1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=small_seeds)
+def test_numerator_counts_standard_monomials(seed):
+    # a monomial ideal in n variables has finitely many standard monomials
+    # exactly when its numerator is (1-z)^n·M, and M(1) counts them; with
+    # exponents below 4, a finite count is at most 27
+    rng = random.Random(seed)
+    n = rng.randrange(1, 4)
+    lts = [tuple(rng.randrange(4) for _ in range(n))
+           for _ in range(rng.randrange(1, 6))]
+    std = standard_monomials(lts, n, cap=64)
+    k, m = groebner.strip_one_minus_z(monomial_hilbert_numerator(lts, n))
+    assert (k == n) == (std is not None and len(std) > 0)
+    if k == n:
+        assert sum(m) == len(std)
 
 
 def test_lift_certificate_reuses_the_lift_basis(monkeypatch):
@@ -352,7 +418,8 @@ def _zero_dim_algebra(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_mult_matrix_matches_columnwise_normal_forms(seed):
-    (aff, gb, std, _), rng = _zero_dim_algebra(seed)
+    (aff, gb), rng = _zero_dim_algebra(seed)
+    std = _standard(gb, aff)
     lam = ideals._random_linear_form(aff, rng)
     matrix = mult_matrix(lam, gb, std, aff)
     index = {m: i for i, m in enumerate(std)}
@@ -611,10 +678,9 @@ def test_the_table_keeps_every_basis(monkeypatch):
 
 
 def test_ideals_live_in_degrevlex_rings():
-    for order in (MonomialOrder("lex"), MonomialOrder("elim", 1)):
-        ring = PolyRing(("x", "y", "z"), P, order)
-        with pytest.raises(AlgebraError):
-            Ideal(ring, [ring.parse("x*y")])
+    ring = PolyRing(("x", "y", "z"), P, MonomialOrder("elim", 1))
+    with pytest.raises(AlgebraError):
+        Ideal(ring, [ring.parse("x*y")])
 
 
 def test_hinted_colon_basis_reduces_fewer_pairs(monkeypatch):

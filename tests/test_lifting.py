@@ -3,13 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liaison.ideals import Ideal
 from liaison.lifting import (lift_ideal, lift_monomial,
                              minimal_monomial_generators, verify_lifting)
 from liaison.rings import AlgebraError, PolyRing
 
-from .oracles import reduced_by_charpoly
+from .oracles import (colength_by_counting, hilbert_functions_by_counting,
+                      reduced_by_charpoly)
 
 P = 32003
 R2 = PolyRing(("x", "y"), P)
@@ -126,3 +129,40 @@ def test_random_artinian_monomial_ideals(seed):
     gens = [ring.monomial(m) for m in pures + extras if sum(m)]
     ok, cert = verify_lifting(Ideal(ring, gens), seed=seed)
     assert ok, cert
+
+
+def _artinian_monomial_ideal(ring, rng):
+    """A pure power of every variable, exponents 1..3, and up to two more
+    monomials."""
+    n = ring.nvars
+    exps = [tuple(rng.randrange(1, 4) if j == i else 0 for j in range(n))
+            for i in range(n)]
+    exps += [tuple(rng.randrange(3) for _ in range(n))
+             for _ in range(rng.randrange(3))]
+    return Ideal(ring, [ring.monomial(e) for e in exps if any(e)])
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       same=st.booleans())
+def test_numerator_checks_match_counting(seed, same):
+    # degree_matches_colength against the summed Hilbert function, and
+    # hilbert_matches against the Hilbert functions up to the bound, both
+    # counted on fresh bases; the lift may be of another ideal, which can
+    # have another colength and Hilbert function
+    rng = random.Random(seed)
+    ring = (R2, R3)[rng.randrange(2)]
+    ideal = _artinian_monomial_ideal(ring, rng)
+    lifted = lift_ideal(ideal if same else _artinian_monomial_ideal(ring,
+                                                                     rng))
+    bound = rng.randrange(6)
+    _, cert = verify_lifting(ideal, lifted, bound=bound, seed=seed)
+    colength = colength_by_counting(ideal)
+    assert ideal.degree() == colength
+    assert cert["degree_matches_colength"] == (lifted.degree() == colength)
+    with_t = lifted + Ideal(lifted.ring, [lifted.ring.parse("t")])
+    assert cert["hilbert_matches"] == (
+        hilbert_functions_by_counting(with_t, bound)
+        == hilbert_functions_by_counting(ideal, bound))
+    if same:
+        assert cert["degree_matches_colength"] and cert["hilbert_matches"]

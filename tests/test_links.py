@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liaison import ideals, links
 from liaison.ideals import GenericityError, Ideal
@@ -12,7 +14,8 @@ from liaison.links import (ci_link, embed_and_link, gorenstein_sum,
                            proper_ci_intersection_link)
 from liaison.rings import AlgebraError, PolyRing
 
-from .oracles import random_homogeneous
+from .oracles import (fresh_leading_monomials, hilbert_functions_by_counting,
+                      numerator_degree_bound, random_homogeneous)
 
 P = 32003
 R4 = PolyRing(("x0", "x1", "x2", "x3"), P)
@@ -214,3 +217,34 @@ def test_proper_ci_link_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(links, "CI_LINK_TRIES", 3)
     with pytest.raises((GenericityError, AlgebraError)):
         proper_ci_intersection_link(I4("x0^2"), (2,), seed=0)
+
+
+def _first_differences(values):
+    return [b - a for a, b in zip([0] + values, values)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6))
+def test_hilbert_preserved_matches_counting(seed):
+    # hilbert_preserved against the Hilbert functions of the extension,
+    # counted on fresh bases up to a degree past both numerators; and the
+    # same comparison of numerators for an ideal of S that is not the
+    # extension, which it tells apart exactly when counting does
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z"), P)
+    while True:
+        ideal = Ideal(ring, [random_homogeneous(ring, rng.randrange(1, 4),
+                                                rng) for _ in range(2)])
+        if is_complete_intersection_gens(ideal):
+            break
+    ext, _, step = embed_and_link(ideal)
+    other = ext + Ideal(ext.ring, [random_homogeneous(
+        ext.ring, rng.randrange(2, 5), rng)])
+    for big in (ext, other):
+        top = max(numerator_degree_bound(fresh_leading_monomials(i))
+                  for i in (ideal, big))
+        counted = (_first_differences(hilbert_functions_by_counting(big, top))
+                   == hilbert_functions_by_counting(ideal, top))
+        assert (big.hilbert_numerator() == ideal.hilbert_numerator()) \
+            == counted
+    assert step.checks["hilbert_preserved"]

@@ -65,11 +65,6 @@ def test_degrevlex_classic_order():
     assert key((0, 2, 0)) > key((1, 0, 1))
 
 
-def test_lex_order_ignores_degree():
-    key = MonomialOrder("lex").key
-    assert key((1, 0, 0)) > key((0, 5, 5))
-
-
 def test_elim_block_order_prefers_first_block():
     key = MonomialOrder("elim", block=1).key
     assert key((1, 0, 0)) > key((0, 9, 9))
