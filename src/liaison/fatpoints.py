@@ -18,11 +18,12 @@ Groebner calculation.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
 from . import modp
-from .ideals import GenericityError, Ideal, binom, normalize_point
+from .ideals import GenericityError, Ideal, normalize_point
 from .links import LinkChainReport, LinkStep, gorenstein_sum
 from .rings import AlgebraError, PolyRing
 
@@ -82,7 +83,7 @@ class FatPointScheme:
             seen.add(pt.coords)
 
     def degree(self):
-        return sum(binom(m + 2, 3) for _, m in self.points)
+        return sum(math.comb(m + 2, 3) for _, m in self.points)
 
     def is_reduced(self):
         return all(m == 1 for _, m in self.points)
@@ -197,7 +198,7 @@ def fatpoint_hvector_formula(n, a):
     """h-vector of the a-th power of a point ideal in P^n, as a tuple."""
     if n < 1 or a < 1:
         raise AlgebraError("need n >= 1 and a >= 1")
-    return tuple(binom(n - 1 + i, i) for i in range(a))
+    return tuple(math.comb(n - 1 + i, i) for i in range(a))
 
 
 def gorenstein_X_hvector_formula(n, a):
@@ -205,7 +206,7 @@ def gorenstein_X_hvector_formula(n, a):
     down, as a tuple."""
     if n < 1 or a < 1:
         raise AlgebraError("need n >= 1 and a >= 1")
-    up = [binom(n - 1 + i, i) for i in range(a)]
+    up = [math.comb(n - 1 + i, i) for i in range(a)]
     return tuple(up + up[-2::-1])
 
 

@@ -12,8 +12,8 @@ import math
 import random
 
 from . import modp
-from .groebner import (buchberger, hilbert_function_from_numerator,
-                       interreduce, monomial_hilbert_numerator, reducer,
+from .groebner import (buchberger, interreduce, monomial_hilbert_numerator,
+                       num_add, num_mul_one_minus_zd, num_shift, reducer,
                        strip_one_minus_z)
 from .rings import (AlgebraError, RingMismatchError, MonomialOrder,
                     Polynomial, mono_div, mono_divides)
@@ -23,52 +23,57 @@ class GenericityError(AlgebraError):
     """A randomized 'general' choice failed repeatedly."""
 
 
-def binom(n, k):
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 class Ideal:
     """Homogeneous ideal in a degrevlex ring, with a table of Groebner bases.
 
     The table maps a linear form ell, given by its coefficients with the
     last nonzero one 1, to (work ring, image map, the reduced degrevlex
     basis of the image of I with ell last); `_basis_with_last` fills it,
-    and an entry, once made, is kept.  The ring's own reduced basis is the
-    entry for the last variable, with the ring as work ring and the
-    identity as image map.  A linear colon enters the stripped basis it
-    was made from (`_colon_linear`).  Any entry fixes the Hilbert
-    numerator, since a linear change of coordinates keeps the Hilbert
-    function, so every basis after the first is Hilbert-driven; a caller
-    that knows the numerator beforehand may pass it.  Yes/no questions are
-    answered from the table, and every answer is exact: zero and unit from
-    the generators (`is_unit`), membership from any entry (`contains`),
-    and equality from one containment and the Hilbert numerators
-    (`__eq__`).
+    and an entry, once made, is kept.  The ring's own basis is the entry
+    for the last variable.  A linear colon enters the basis it stripped,
+    and makes its generators on first read (`_colon_linear`).  For ell
+    regular on R/I and I ⊆ J, in(I + ell·J) = in(I) + ell·in(J) with ell
+    last (Bayer-Stillman), so I + ell·J enters the entry of I and ell times
+    that of J, interreduced (`plus_regular_multiple`).  Any entry fixes the
+    Hilbert numerator, since a linear change of coordinates keeps the
+    Hilbert function, so every later basis is Hilbert-driven; a caller that
+    knows the numerator may pass it.  Every yes/no answer is exact: zero
+    and unit from the generators (`is_unit`), membership from any entry
+    (`contains`), equality from an entry both sides hold, else from one
+    containment and the Hilbert numerators (`__eq__`).
     """
 
     def __init__(self, ring, generators, _numerator=None):
         if ring.order.kind != "degrevlex":
             raise AlgebraError("ideals live in degrevlex rings, not %r"
                                % (ring.order,))
-        gens = []
-        for g in generators:
-            if isinstance(g, str):
-                g = ring.parse(g)
-            if g.ring != ring:
-                raise RingMismatchError("generator from a different ring")
-            if not g.is_homogeneous():
-                raise AlgebraError("ideal generators must be homogeneous: %s" % g)
-            if g:
-                gens.append(g)
         self.ring = ring
-        self.generators = tuple(gens)
+        self._generators = (generators if callable(generators)
+                            else self._checked(generators))
         self._numerator = _numerator
         self._colons = None
         # coefficients of ell -> (work ring, image map, reduced basis with
         # ell last), see `_basis_with_last`
         self._bases = {}
+
+    def _checked(self, generators):
+        gens = []
+        for g in generators:
+            if isinstance(g, str):
+                g = self.ring.parse(g)
+            if g.ring != self.ring:
+                raise RingMismatchError("generator from a different ring")
+            if not g.is_homogeneous():
+                raise AlgebraError("ideal generators must be homogeneous: %s" % g)
+            if g:
+                gens.append(g)
+        return tuple(gens)
+
+    @property
+    def generators(self):
+        if callable(self._generators):
+            self._generators = self._checked(self._generators())
+        return self._generators
 
     @classmethod
     def from_strings(cls, ring, texts):
@@ -77,38 +82,35 @@ class Ideal:
     # -- basics --------------------------------------------------------------
 
     def groebner_basis(self):
-        """The reduced Groebner basis: the table's entry for the last
-        variable (`_basis_with_last`)."""
+        """The reduced Groebner basis: the entry for the last variable."""
         return self._basis_with_last(_last_key(self.ring))[2]
 
     @property
     def _gb(self):
-        """The reduced Groebner basis when in the table, else None.  Nothing
-        in the package reads it; perfbench's tracer does, to count the calls
-        of `groebner_basis` that find the basis made."""
+        """The reduced Groebner basis when in the table, else None; read by
+        perfbench's tracer only, to count `groebner_basis` calls it answers."""
         entry = self._bases.get(_last_key(self.ring))
         return None if entry is None else entry[2]
 
     def is_zero(self):
         """True for the zero ideal: zero generators are dropped on entry."""
-        return not self.generators
+        return not self._spanning_set()
 
     def is_unit(self):
-        """True for the unit ideal, read off the generators.
+        """True for the unit ideal: the degree-0 part of a homogeneous ideal
+        is spanned by its degree-0 generators, so it holds 1 exactly when
+        one generator (or element of a basis) is a nonzero constant."""
+        return any(g.is_constant() for g in self._spanning_set())
 
-        The degree-0 part of a homogeneous ideal is spanned by its degree-0
-        generators, since every other product has positive degree.  So the
-        ideal holds 1 exactly when one generator is a nonzero constant.
-        """
-        return any(g.is_constant() for g in self.generators)
+    def _spanning_set(self):
+        """The generators, or a basis in the table before they are made."""
+        return (self._any_basis()[2] if callable(self._generators)
+                else self._generators)
 
     def contains(self, f):
-        """f in I, by one normal form against a basis in the table.
-
-        That is the ring's own basis when made, else any other entry, else
-        the ring's own basis, computed.  The change of coordinates an entry
-        was computed in is a ring automorphism, so f lies in I exactly when
-        its image reduces to zero against that basis.
+        """f in I, by one normal form against a basis in the table
+        (`_any_basis`).  The change of coordinates of an entry is a ring
+        automorphism, so f lies in I exactly when its image reduces to zero.
         """
         if isinstance(f, str):
             f = self.ring.parse(f)
@@ -142,13 +144,13 @@ class Ideal:
         """Equality of ideals, with at most one new basis when either side
         has a basis or a Hilbert numerator in hand.
 
-        For homogeneous ideals A contained in B, A = B exactly when their
-        Hilbert series agree, since dim A_d <= dim B_d in every degree
-        (Traverso, J. Symbolic Comput. 22, 1996; Kreuzer-Robbiano,
-        Computational Commutative Algebra 2, Sec. 5.1).  So two known
-        numerators that differ decide at once.  Otherwise the generators of
-        one side are tested against the other side, one with a basis in its
-        table when there is one (see `contains`), and the numerators decide.
+        An entry both sides hold decides at once: reduced bases are unique.
+        Else, for homogeneous ideals A contained in B, A = B exactly when
+        their Hilbert series agree, as dim A_d <= dim B_d (Traverso, J.
+        Symbolic Comput. 22, 1996; Kreuzer-Robbiano, CCA 2, Sec. 5.1).
+        So two known numerators that differ decide at once; otherwise the
+        generators of one side are tested against the other, one with a
+        basis in its table when there is one, and the numerators decide.
         """
         if not isinstance(other, Ideal):
             return NotImplemented
@@ -156,6 +158,9 @@ class Ideal:
             return True
         if self.ring != other.ring:
             return False
+        key = next(iter(self._bases.keys() & other._bases.keys()), None)
+        if key is not None:
+            return self._bases[key][2] == other._bases[key][2]
         mine, theirs = self._known_numerator(), other._known_numerator()
         if mine is not None and theirs is not None and mine != theirs:
             return False
@@ -182,9 +187,6 @@ class Ideal:
         if len(self.generators) > 6:
             gens += ", ..."
         return "Ideal(%s)" % gens
-
-    def max_gen_degree(self):
-        return max((g.degree() for g in self.generators), default=0)
 
     # -- sums, products ------------------------------------------------------
 
@@ -234,14 +236,12 @@ class Ideal:
     def quotient(self, by):
         """I : f or I : J.
 
-        By a linear form, from one stripped degrevlex basis (see
-        `_colon_linear`); by any other form f, the unit ideal when f lies
-        in I (one normal form against the basis in hand, see `contains`),
-        else (I meet (f)) / f through an elimination basis.  I : J is the
-        intersection of the quotients by the generators of J, and the unit
-        ideal when J is zero.  Linear generators go first: the basis with
-        such a form last, which their colon computes, then answers the
-        membership tests of the others, and no basis of I itself is needed.
+        By a linear form, from one stripped basis (`_colon_linear`); by any
+        other form f, the unit ideal when f lies in I (`contains`), else
+        (I meet (f)) / f through an elimination basis.  I : J intersects
+        the quotients by the generators of J, the unit ideal when J is
+        zero.  Linear generators go first: the basis their colon computes
+        then answers the membership tests of the others.
         """
         if isinstance(by, str):
             by = self.ring.parse(by)
@@ -270,9 +270,8 @@ class Ideal:
     def saturate(self, by):
         """I : by^infinity for a linear form or an ideal of linear forms.
 
-        For a linear form l this is `_colon_linear(l, infinity)`.  For an
-        ideal J = (l_1, ..., l_r), I : J^infinity is the intersection of
-        the I : l_i^infinity, and it is I as soon as one l_i strips nothing:
+        By J = (l_1, ..., l_r), it intersects the I : l_i^infinity
+        (`_colon_linear`), and it is I as soon as one l_i strips nothing:
         that l_i is a nonzerodivisor on R/I, so no associated prime
         contains J.  The last variable goes first, on the ring's own basis.
         """
@@ -305,27 +304,20 @@ class Ideal:
         coordinates where ell is the last variable x, a degrevlex Groebner
         basis of I, with min(cap, k) powers of x divided out of each element
         divisible by exactly x^k, is a Groebner basis of I : x^cap.  The
-        basis is the table's entry for ell (`_basis_with_last`).  It is
-        reduced, so it strips nothing exactly when I : ell = I, and then
-        self itself is returned.  Results are kept per ideal, keyed by ell
-        up to a scalar and by cap.
+        basis is the table's entry for ell; it is reduced, so it strips
+        nothing exactly when I : ell = I, and then self is returned.
+        Results are kept per ideal, keyed by ell up to a scalar and by cap.
 
-        A new result enters the stripped basis, interreduced, in its own
-        table under ell, with the same work ring and image map: it is the
-        reduced basis of the image of I : ell^cap.  So its membership and
-        equality tests, its Hilbert numerator and a later colon by ell need
-        no new basis, and its other bases are Hilbert-driven.
+        A new result enters the stripped basis, interreduced, under ell in
+        its own table: the reduced basis of the image of I : ell^cap.  Its
+        yes/no tests, its numerator and a later colon by ell need no new
+        basis, nor its generators: the stripped basis mapped back to the
+        original coordinates, made on first read.
         """
         ring = self.ring
         if ell.ring != ring:
             raise RingMismatchError("colon across rings")
-        coeffs = [0] * ring.nvars
-        for m, c in ell.terms.items():
-            coeffs[m.index(1)] = c
-        j = max(i for i, c in enumerate(coeffs) if c)
-        # ell / c_j: the key, and the form the work is done with
-        inv = ring.field.inv(coeffs[j])
-        coeffs = tuple((c * inv) % ring.prime for c in coeffs)
+        coeffs = _linear_key(ell)
         if self._colons is None:
             self._colons = {}
         key = (coeffs, cap)
@@ -344,12 +336,10 @@ class Ideal:
             out = self
         else:
             ell = ring.linear_form(coeffs)
-            if len(ell.terms) == 1:
-                gens = [g.map_to(ring) for g in stripped]
-            else:
-                x = work.variables[-1]
-                gens = [g.substitute({x: ell}, ring) for g in stripped]
-            out = Ideal(ring, gens)
+            x = work.variables[-1]
+            back = ((lambda g: g.map_to(ring)) if len(ell.terms) == 1
+                    else (lambda g: g.substitute({x: ell}, ring)))
+            out = Ideal(ring, lambda: [back(g) for g in stripped])
             # reduced, so that a later colon by ell strips nothing exactly
             # when it is the same ideal
             out._bases[coeffs] = (work, image, tuple(interreduce(stripped)))
@@ -357,17 +347,12 @@ class Ideal:
         return out
 
     def _basis_with_last(self, coeffs):
-        """The table's entry for a linear form ell: (work, image, gb).
-
-        `coeffs` are the coefficients of ell, its last nonzero one, on x,
-        equal to 1.  `work` is the degrevlex ring with x moved last (the
-        ring itself when x is last), `image` the map from the ring to
-        `work` by x -> 2x - ell, which sends ell to x (a renaming when ell
-        is x, the identity when x is also last), and gb the reduced basis of
-        the image of I.  This is the one place a basis of I is computed.
-        A new entry is Hilbert-driven when the numerator of I is known or
-        another entry is in the table: a linear change of coordinates keeps
-        the Hilbert function.
+        """The table's entry (work, image, gb) for the linear form ell with
+        key `coeffs`, the last nonzero one on x.  `work` is the ring with x
+        moved last, `image` the map x -> 2x - ell, which sends ell to x (a
+        renaming when ell is x, the identity when x is also last).  This is
+        the one place a basis of I is computed, Hilbert-driven when the
+        numerator is known or another entry is in the table.
         """
         entry = self._bases.get(coeffs)
         if entry is not None:
@@ -395,6 +380,34 @@ class Ideal:
         entry = self._bases[coeffs] = (work, image, gb)
         return entry
 
+    def groebner_basis_with_last(self, ell):
+        """The basis in the table's entry for the linear form ell."""
+        return self._basis_with_last(_linear_key(ell))[2]
+
+    def plus_regular_multiple(self, f, other):
+        """K = I + f·J, for a form f regular on R/I and an ideal J ⊇ I.
+
+        For f = x last, in(K) : x = in(K : x) = in(J) and in(K) + (x) =
+        in(K + (x)) = in(I) + (x) (Bayer-Stillman), and x divides no leading
+        term of I, so in(K) = in(I) + x·in(J): K's entry for f is I's and x
+        times J's, interreduced, with I's work ring and image map.  For f
+        of degree e != 1, f·J ∩ I = f·(J ∩ (I : f)) = f·I, so K/I is
+        (J/I)(-e), and K gets the numerator N(I) - z^e·(N(I) - N(J)).
+        """
+        gens = self.generators + (f * other).generators
+        e = f.degree()
+        if e != 1:
+            return Ideal(self.ring, gens, tuple(num_add(num_mul_one_minus_zd(
+                self.hilbert_numerator(), e), num_shift(
+                    other.hilbert_numerator(), e))))
+        key = _linear_key(f)
+        work, image, gb = self._basis_with_last(key)
+        x = work.variable(work.variables[-1])
+        out = Ideal(self.ring, gens)
+        out._bases[key] = (work, image, tuple(interreduce(
+            gb + tuple(x * g for g in other._basis_with_last(key)[2]))))
+        return out
+
     def irrelevant_ideal(self):
         return Ideal(self.ring, self.ring.gens())
 
@@ -411,11 +424,6 @@ class Ideal:
             self._numerator = tuple(
                 monomial_hilbert_numerator(lts, self.ring.nvars))
         return self._numerator
-
-    def hilbert_function(self, d):
-        """dim_K (R/I)_d."""
-        return hilbert_function_from_numerator(self.hilbert_numerator(),
-                                               self.ring.nvars, d)
 
     def krull_dim(self):
         """Krull dimension of R/I (the affine cone); 0 for the unit ideal."""
@@ -593,6 +601,16 @@ def _identity(g):
 def _last_key(ring):
     """The table key of the ring's last variable (see `Ideal._bases`)."""
     return (0,) * (ring.nvars - 1) + (1,)
+
+
+def _linear_key(ell):
+    """Table key of a linear form: its coefficients, last nonzero one 1."""
+    ring = ell.ring
+    coeffs = [0] * ring.nvars
+    for m, c in ell.terms.items():
+        coeffs[m.index(1)] = c
+    inv = ring.field.inv(next(c for c in reversed(coeffs) if c))
+    return tuple((c * inv) % ring.prime for c in coeffs)
 
 
 def _dehomogenize(g, aff):

@@ -1,10 +1,8 @@
 """Liaison machinery: direct links, Gorenstein sums, the key colon identity.
 
-The engine works with explicit generator data throughout: a link is always
-computed as a literal ideal quotient (by a linear form from one stripped
-degrevlex Groebner basis, by any other form through an elimination basis),
-and every claimed property is verified on the nose rather than assumed from
-theory.
+A link is always computed as a literal ideal quotient (see
+`Ideal.quotient`), and every claimed property is verified on the nose
+rather than assumed from theory.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .groebner import num_add, num_mul_one_minus_zd, num_shift
 from .ideals import GenericityError, Ideal
 from .rings import AlgebraError
 
@@ -139,24 +136,25 @@ def lemma_key_link(ideal, f, other):
         (I + f·J) : (I, f)  =  (I + f·J) : f  =  (I : f) + J  =  J
     and returns (combined ideal I + f·J, LinkStep).
 
-    I : f is decided first.  When it is I, f is regular on R/I, and
-    I + f·J gets its Hilbert numerator from those of I and J
-    (`_regular_sum_numerator`), so its bases are Hilbert-driven.  For a
-    linear f, each colon holds the basis it was stripped from in its table,
-    and the equalities are decided on those bases (see
-    `Ideal._colon_linear`); an equality two checks share is decided once.
+    I : f is decided first; when it is I, f is regular on R/I.  With a
+    linear f last, in(I + f·J) = in(I) + f·in(J) (Bayer-Stillman), so the
+    bases of I and of J times f, interreduced, are the basis of I + f·J,
+    J computes no other basis, and each equality compares reduced bases
+    under f (`Ideal.__eq__`); any other f gives I + f·J its Hilbert
+    numerator (`Ideal.plus_regular_multiple`).
     """
     if isinstance(f, str):
         f = ideal.ring.parse(f)
     if not f or f.is_constant():
         raise AlgebraError("multiplier must be a non-constant form")
+    if f.degree() == 1 and f.is_homogeneous():
+        other.groebner_basis_with_last(f)
     if not other.contains_ideal(ideal):
         raise AlgebraError("identity needs I contained in J")
     colon = ideal.quotient(f)
     regular = colon == ideal
-    combined = Ideal(ideal.ring, (ideal + f * other).generators,
-                     _numerator=(_regular_sum_numerator(ideal, f, other)
-                                 if regular else None))
+    combined = (ideal.plus_regular_multiple(f, other) if regular
+                else ideal + f * other)
     denom = ideal + Ideal(ideal.ring, [f])
 
     q_full = combined.quotient(denom)
@@ -168,12 +166,8 @@ def lemma_key_link(ideal, f, other):
         "f_regular_on_I": regular,
         "colon_by_pair_eq_colon_by_f": q_full == q_by_f,
         "colon_by_f_eq_colon_plus_J": q_by_f == colon_plus,
+        "equals_J": q_full == other,
     }
-    # for f linear and regular, q_full is q_by_f and colon_plus is J, so
-    # the last check is the one before
-    checks["equals_J"] = (checks["colon_by_f_eq_colon_plus_J"]
-                          if q_full is q_by_f and colon_plus is other
-                          else q_full == other)
     step = LinkStep(
         kind="colon-identity",
         description="(I + f*J) : (I, f) = J with f = %s" % f,
@@ -181,19 +175,6 @@ def lemma_key_link(ideal, f, other):
         checks=checks,
     )
     return combined, step
-
-
-def _regular_sum_numerator(ideal, f, other):
-    """Hilbert numerator of I + f·J, for f of degree e regular on R/I and
-    I ⊆ J: N(I) - z^e·(N(I) - N(J)) = (1 - z^e)·N(I) + z^e·N(J).
-
-    Since f is regular on R/I, f·J ∩ I = f·(J ∩ (I : f)) = f·I, so
-    (I + f·J)/I = f·J/f·I is (J/I)(-e), and the Hilbert series of
-    R/(I + f·J) is that of R/I less z^e times that of J/I.
-    """
-    e = f.degree()
-    return tuple(num_add(num_mul_one_minus_zd(ideal.hilbert_numerator(), e),
-                         num_shift(other.hilbert_numerator(), e)))
 
 
 def embed_and_link(ideal, witness=None, var="t"):

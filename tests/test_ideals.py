@@ -13,7 +13,7 @@ from liaison.groebner import (buchberger, monomial_hilbert_numerator,
 from liaison.ideals import GenericityError, Ideal, normalize_point
 from liaison.lifting import lift_ideal, verify_lifting
 from liaison.links import lemma_key_link
-from liaison.rings import AlgebraError, MonomialOrder, PolyRing
+from liaison.rings import AlgebraError, MonomialOrder, PolyRing, Polynomial
 
 from .oracles import (affine_basis_by_dehomogenizing, ci_hilbert_numerator,
                       degree_by_counting, equal_by_reduced_bases,
@@ -21,7 +21,7 @@ from .oracles import (affine_basis_by_dehomogenizing, ci_hilbert_numerator,
                       quotient_by_elimination, mult_matrix,
                       random_form_through, random_homogeneous,
                       reduced_by_charpoly, saturate_by_quotients,
-                      standard_monomials)
+                      standard_monomials, substitute_termwise)
 
 P = 32003
 R3 = PolyRing(("x", "y", "z"), P)
@@ -182,7 +182,9 @@ def test_hilbert_function_matches_counting():
     ideal = I3(*texts)
     leads = [R3.parse(t).leading_monomial() for t in texts]
     for d in range(8):
-        assert ideal.hilbert_function(d) == hilbert_by_counting(leads, 3, d)
+        assert (groebner.hilbert_function_from_numerator(
+            ideal.hilbert_numerator(), 3, d)
+            == hilbert_by_counting(leads, 3, d))
 
 
 def test_dimension_degree_twisted_cubic():
@@ -545,7 +547,7 @@ def test_linear_colon_matches_elimination(seed):
 def test_quotient_by_a_member_is_the_unit_ideal(seed):
     rng = random.Random(seed)
     a = random_ideal(R3, rng)
-    top = max(2, a.max_gen_degree()) + rng.randrange(2)
+    top = max([2] + [g.degree() for g in a.generators]) + rng.randrange(2)
     f = sum((random_homogeneous(R3, top - g.degree(), rng) * g
              for g in a.generators), R3.zero())
     if not f:
@@ -644,7 +646,8 @@ def _check_kept_colon_basis(q, ell, cap, rng):
     work, image, kept = q._bases[_normalized_coeffs(ell)]
     assert kept == tuple(buchberger([image(g) for g in q.generators]))
     fresh = Ideal(R3, q.generators)
-    top = q.max_gen_degree() + rng.randrange(2)
+    top = (max((g.degree() for g in q.generators), default=0)
+           + rng.randrange(2))
     member = sum((random_homogeneous(R3, top - g.degree(), rng) * g
                   for g in q.generators), R3.zero())
     others = [random_homogeneous(R3, d, rng) for d in (1, 2, top)]
@@ -745,7 +748,7 @@ def _partner(a, kind, rng):
     ideal), or an unrelated random ideal."""
     ring = a.ring
     if kind == "equal":
-        top = a.max_gen_degree() + 1
+        top = max((g.degree() for g in a.generators), default=0) + 1
         extra = sum((random_homogeneous(ring, top - g.degree(), rng) * g
                      for g in a.generators), ring.zero())
         return Ideal(ring, list(reversed(a.generators)) + [extra])
@@ -801,6 +804,102 @@ def test_equal_hilbert_series_is_not_equality(texts, states):
 
 
 @settings(max_examples=20, deadline=None)
+@given(seed=small_seeds, kind=st.sampled_from(["equal", "larger", "swapped",
+                                              "random"]))
+def test_equality_by_a_shared_key_matches_containment(seed, kind):
+    # both sides hold an entry under one key: the two reduced bases decide,
+    # with no reducer made, as containment and numerators decide on copies
+    # that hold no entry
+    rng = random.Random(seed)
+    a = random_ideal(R3, rng, max_deg=2)
+    b = _partner(a, kind, rng)
+    expected = Ideal(R3, a.generators) == Ideal(R3, b.generators)
+    assert expected == equal_by_reduced_bases(a, b)
+    key = _normalized_coeffs(rng.choice(_forms_of_each_kind(R3, rng)))
+    for side in (a, b):
+        side._basis_with_last(key)
+    made = []
+    real = ideals.reducer
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ideals, "reducer",
+                      lambda *args: made.append(args) or real(*args))
+        assert (a == b) == expected
+        assert (b == a) == expected
+    assert not made
+
+
+def _strip(g, cap):
+    """g divided by the largest power x^k, k <= cap, of its ring's last
+    variable x dividing it."""
+    k = min(cap, min(m[-1] for m in g.terms))
+    return g.ring.from_dict({m[:-1] + (m[-1] - k,): c
+                             for m, c in g.terms.items()})
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=small_seeds, cap=st.sampled_from([1, math.inf]))
+def test_colon_generators_are_made_on_first_read(seed, cap):
+    # a colon's zero and unit tests, and its meet with the unit ideal, read
+    # the basis it keeps; its generators, once read, are the stripped basis
+    # of I with ell last, mapped back to the original coordinates
+    rng = random.Random(seed)
+    a = random_ideal(R3, rng)
+    ideal = a * a.irrelevant_ideal()
+    ell = rng.choice(_forms_of_each_kind(R3, rng))
+    q = ideal._colon_linear(ell, cap)
+    assert q is not ideal
+    zero, unit = q.is_zero(), q.is_unit()
+    one = I3("1")
+    assert q.intersect(one) is q
+    assert one.intersect(q) is (one if unit else q)
+    assert callable(q._generators)
+    key = _normalized_coeffs(ell)
+    work, _, gb = ideal._bases[key]
+    back = {work.variables[-1]: R3.linear_form(key)}
+    assert q.generators == tuple(substitute_termwise(_strip(g, cap), back, R3)
+                                 for g in gb)
+    truth = buchberger(q.generators)
+    assert zero == (not truth)
+    assert unit == (bool(truth) and truth[0].is_constant())
+    _check_table(q)
+
+
+@pytest.mark.parametrize("kind", range(3))
+def test_colon_identity_reads_no_colon_generators(kind, monkeypatch):
+    # with f the last variable, another variable or a general form, regular
+    # on R/I, no colon lemma_key_link makes has its generators read, so no
+    # stripped basis is mapped back to the original coordinates
+    rng = random.Random(7300 + kind)
+    while True:
+        ideal = Ideal(R4, [random_homogeneous(R4, 2, rng) for _ in range(2)])
+        if ideal.codim() == 2:
+            break
+    ideal = Ideal(R4, ideal.generators)
+    other = ideal + Ideal(R4, [random_homogeneous(R4, 2, rng)])
+    f = _forms_of_each_kind(R4, rng)[kind]
+    made, sent = [], []
+    real_colon, real_substitute = Ideal._colon_linear, Polynomial.substitute
+
+    def colon(self, ell, cap):
+        out = real_colon(self, ell, cap)
+        if out is not self:
+            made.append(out)
+        return out
+
+    def substitute(g, assignment, target_ring=None):
+        sent.extend(assignment.values())
+        return real_substitute(g, assignment, target_ring)
+
+    monkeypatch.setattr(Ideal, "_colon_linear", colon)
+    monkeypatch.setattr(Polynomial, "substitute", substitute)
+    _, step = lemma_key_link(ideal, f, other)
+    assert step.passed()
+    assert made and all(callable(q._generators) for q in made)
+    ell = R4.linear_form(_normalized_coeffs(f))
+    assert all(value != ell for value in sent)
+
+
+@settings(max_examples=20, deadline=None)
 @given(seed=small_seeds, kind=st.sampled_from(["random", "zero", "constant",
                                               "member", "colon"]))
 def test_zero_and_unit_from_generators_match_the_basis(seed, kind):
@@ -830,7 +929,8 @@ def test_membership_through_a_shifted_basis(seed):
     a = random_ideal(R3, rng)
     ell = rng.choice(_forms_of_each_kind(R3, rng)[1:])
     a._basis_with_last(_normalized_coeffs(ell))
-    top = a.max_gen_degree() + rng.randrange(2)
+    top = (max((g.degree() for g in a.generators), default=0)
+           + rng.randrange(2))
     members = [sum((random_homogeneous(R3, top - g.degree(), rng) * g
                     for g in a.generators), R3.zero())]
     others = [random_homogeneous(R3, d, rng) for d in (1, 2, top)]
@@ -850,11 +950,12 @@ def test_zero_ideal_has_a_shifted_basis_too():
     assert zero == Ideal(R3, []) and zero != I3("x")
 
 
-def test_colon_identity_computes_three_bases(monkeypatch):
-    # the basis of J (is I inside J?), of I with f last and of I + f*J with
-    # f last, the last one Hilbert-driven since f is regular on R/I;
-    # equality, unit and zero tests, and the codimension of I after it, read
-    # what those left
+def test_colon_identity_computes_two_bases(monkeypatch):
+    # the basis of J with f last (is I inside J?), then of I with f last;
+    # f is regular on R/I, so the basis of I + f*J with f last is the union
+    # of those two, J's times f, interreduced, with no S-pairs; equality,
+    # unit and zero tests, and the codimension of I after it, read what
+    # those left
     rng = random.Random(5)
     while True:
         ideal = Ideal(R4, [random_homogeneous(R4, 2, rng) for _ in range(3)])
@@ -867,10 +968,12 @@ def test_colon_identity_computes_three_bases(monkeypatch):
     combined, step = lemma_key_link(ideal, f, other)
     assert step.passed()
     assert ideal.codim() == 3
-    assert len(calls) == 3
-    hints = [numerator for gens, numerator in calls
-             if len(gens) == len(combined.generators)]
-    assert hints == [Ideal(R4, combined.generators).hilbert_numerator()]
+    key = _normalized_coeffs(f)
+    image = ideal._bases[key][1]
+    assert calls == [([image(g) for g in source.generators], None)
+                     for source in (other, ideal)]
+    assert combined._bases[key][2] == tuple(buchberger(
+        [image(g) for g in combined.generators]))
 
 
 def test_colon_identity_with_a_zerodivisor_reports_it(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liaison import ideals, links
+from liaison.groebner import buchberger
 from liaison.ideals import GenericityError, Ideal
 from liaison.links import (ci_link, embed_and_link, gorenstein_sum,
                            is_complete_intersection_gens, is_geometric_link,
@@ -14,8 +15,9 @@ from liaison.links import (ci_link, embed_and_link, gorenstein_sum,
                            proper_ci_intersection_link)
 from liaison.rings import AlgebraError, PolyRing
 
-from .oracles import (fresh_leading_monomials, hilbert_functions_by_counting,
-                      numerator_degree_bound, random_homogeneous)
+from .oracles import (equal_by_reduced_bases, fresh_leading_monomials,
+                      hilbert_functions_by_counting, numerator_degree_bound,
+                      quotient_by_elimination, random_homogeneous)
 
 P = 32003
 R4 = PolyRing(("x0", "x1", "x2", "x3"), P)
@@ -129,8 +131,10 @@ def _numerator_minus_shifted(a, b, e):
 @pytest.mark.parametrize("seed", range(3))
 def test_regular_sum_numerator_matches_its_basis(seed, degree, monkeypatch):
     # f regular on R/I and I inside J: the numerator of I + f*J, computed
-    # from its own basis with no hint, is N(I) - z^e (N(I) - N(J)), and
-    # lemma_key_link hands that numerator to the basis of I + f*J
+    # from its own basis with no hint, is N(I) - z^e (N(I) - N(J)); for a
+    # quadric f lemma_key_link hands that numerator to the basis of I + f*J,
+    # and for a linear f it builds that basis from those of I and J, here
+    # fresh copies, with no hinted run
     rng = random.Random(7100 + seed)
     while True:
         ideal = Ideal(R4, [random_homogeneous(R4, 2, rng) for _ in range(2)])
@@ -152,9 +156,90 @@ def test_regular_sum_numerator_matches_its_basis(seed, degree, monkeypatch):
         return real(gens, numerator)
 
     monkeypatch.setattr(ideals, "buchberger", recording)
-    combined, step = lemma_key_link(Ideal(R4, ideal.generators), f, other)
+    if degree == 2:
+        combined, step = lemma_key_link(Ideal(R4, ideal.generators), f, other)
+        assert step.passed()
+        assert (len(combined.generators), expected) in hints
+        return
+    combined, step = lemma_key_link(Ideal(R4, ideal.generators), f,
+                                    Ideal(R4, other.generators))
     assert step.passed()
-    assert (len(combined.generators), expected) in hints
+    assert hints and all(numerator is None for _, numerator in hints)
+    _, image, gb = combined._bases[ideals._linear_key(f)]
+    assert gb == tuple(real([image(g) for g in combined.generators]))
+    assert combined.hilbert_numerator() == expected
+
+
+def _minors_ideal(ring, rng):
+    """The 2x2 minors of a random 2x3 matrix of linear forms: three
+    generators, and codimension 2 for a general matrix."""
+    a, b = ([random_homogeneous(ring, 1, rng) for _ in range(3)]
+            for _ in range(2))
+    return Ideal(ring, [a[i] * b[j] - a[j] * b[i]
+                        for i, j in ((0, 1), (0, 2), (1, 2))])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6), ci=st.booleans(),
+       kind=st.sampled_from(["variable", "sparse", "dense", "zerodivisor",
+                             "quadric"]))
+def test_colon_identity_bases_and_verdicts_match_fresh_ideals(seed, ci, kind):
+    # I a complete intersection or not, J strictly larger, f a variable, a
+    # sparse or a dense linear form, a linear zerodivisor on R/I or a
+    # quadric: every basis I + f*J holds is the reduced basis of the image
+    # of its generators, and the checks are what elimination and the
+    # reduced bases of fresh ideals give.  Only a linear f regular on R/I
+    # gets that basis with no run; a zerodivisor or a quadric gets a run
+    # on the generators of I + f*J, hinted only for the quadric
+    rng = random.Random(seed)
+    while True:
+        ideal = (Ideal(R4, [random_homogeneous(R4, 2, rng) for _ in range(2)])
+                 if ci else _minors_ideal(R4, rng))
+        if ideal.codim() == 2:
+            break
+    if kind == "variable":
+        f = rng.choice(R4.gens())
+    elif kind == "sparse":
+        i, j = rng.sample(range(4), 2)
+        f = R4.gens()[i] + R4.gens()[j] * rng.randrange(1, P)
+    else:
+        f = random_homogeneous(R4, 2 if kind == "quadric" else 1, rng)
+    gens = ideal.generators
+    if kind == "zerodivisor":
+        gens = (f * gens[0],) + gens[1:]
+    while True:
+        extra = random_homogeneous(R4, 2, rng)
+        if not Ideal(R4, gens).contains(extra):
+            break
+    ideal, other = Ideal(R4, gens), Ideal(R4, gens + (extra,))
+    runs = []
+    real = ideals.buchberger
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ideals, "buchberger", lambda g, numerator=None: (
+            runs.append((list(g), numerator)) or real(g, numerator)))
+        combined, step = lemma_key_link(ideal, f, other)
+    images = [[image(g) for g in combined.generators]
+              for _, image, _ in combined._bases.values()]
+    for gens_in, (_, _, gb) in zip(images, combined._bases.values()):
+        assert gb == tuple(buchberger(gens_in))
+    fresh = Ideal(R4, combined.generators)
+    by_f, by_pair = fresh.quotient(f), fresh.quotient(ideal + Ideal(R4, [f]))
+    colon = quotient_by_elimination(Ideal(R4, gens), f)
+    regular = equal_by_reduced_bases(colon, ideal)
+    assert step.checks == {
+        "f_regular_on_I": regular,
+        "colon_by_pair_eq_colon_by_f": equal_by_reduced_bases(by_pair, by_f),
+        "colon_by_f_eq_colon_plus_J": equal_by_reduced_bases(
+            by_f, colon + other),
+        "equals_J": equal_by_reduced_bases(by_pair, other),
+    }
+    on_sum = [numerator for gens_in, numerator in runs if gens_in in images]
+    if kind == "quadric":
+        assert regular and on_sum == [fresh.hilbert_numerator()]
+    elif kind == "zerodivisor":
+        assert not regular and on_sum == [None]
+    else:
+        assert on_sum == ([] if regular else [None])
 
 
 @pytest.mark.parametrize("degree", [1, 2])
