@@ -13,12 +13,22 @@ only those with minimal lcm.  Skipping a pair is never needed for
 correctness.  The pair queue is degree-by-degree (normal strategy), so
 homogeneous inputs are processed degreewise.
 
-A caller that knows the Hilbert numerator of the ideal spanned by
-homogeneous generators may pass it (Traverso, J. Symbolic Comput. 22,
-1996).  Once every pair below degree d is done, the basis G is complete
-in degree d exactly when dim (R/in(G))_d equals the known value, and the
-remaining pairs of degree d are dropped unreduced.  The numerator of in(G)
-is recomputed only after G grows.  The hint must be exact, and it is
+A caller that knows a lower bound N on the Hilbert function of R/I,
+for I spanned by homogeneous generators, may pass it as a numerator:
+HF_N(d) <= HF(R/I)(d) in every degree (Traverso, J. Symbolic Comput. 22,
+1996).  The exact numerator is its sharpest case.  Once every pair below
+degree d is done, in(G)_d lies in in(I)_d, so
+dim (R/in(G))_d >= HF(R/I)(d) >= HF_N(d), and G is complete in degree d as
+soon as the first equals the last: the remaining pairs of degree d are
+dropped unreduced.  The Hilbert function of in(G) is computed once a
+degree, when its first pair is popped; after that the deficit
+dim (R/in(G))_d - HF_N(d) is counted down, since a nonzero reduction in
+degree d is reduced against G and adds exactly one leading monomial of
+degree d.  A negative deficit shows a hint above the Hilbert function,
+and raises.  For c <= n forms of degrees d_1..d_c, prod (1 - z^d_i) is
+such a bound: HF(R/I)(d) = dim R_d - rank(+ R_(d-d_i) -> R_d), the rank
+is largest at a general point of the space of such forms, and a general
+point is a regular sequence, whose quotient has that series.  The hint is
 refused for inhomogeneous generators, whose reductions do not stay in one
 degree.  Numerators of monomial ideals come from the pivot-variable
 recursion below.  The numerator is the one stored form of Hilbert data in
@@ -273,11 +283,16 @@ def buchberger(generators, numerator=None):
 
     Zero generators are dropped; the empty ideal yields [].  Output
     polynomials are monic, fully auto-reduced, and sorted by increasing
-    leading monomial.  `numerator`, when given, is the Hilbert numerator
-    of the ideal (Series(R/I) = N(z)/(1-z)^nvars) and the generators must
-    be homogeneous: the pairs of a degree whose part of the basis is
-    already complete are then dropped unreduced (see the module notes).
-    A wrong numerator gives a wrong basis.
+    leading monomial.  `numerator`, when given, is a lower bound on the
+    Hilbert function of R/I: HF_N(d) <= HF(R/I)(d) in every degree, for
+    HF_N the function of N(z)/(1-z)^nvars.  The exact numerator is its
+    sharpest case, and prod (1 - z^deg g) over c <= nvars generators is
+    always one (see the module notes).  The generators must then be
+    homogeneous, and the pairs of a degree whose part of the basis is
+    already complete are dropped unreduced.  The Hilbert function of
+    in(G) is computed once a degree and then counted down, one per
+    nonzero reduction.  A hint above the Hilbert function raises
+    AlgebraError when a degree shows it, and may else give a wrong basis.
     """
     gens = [g for g in generators if g]
     if not gens:
@@ -331,14 +346,20 @@ def buchberger(generators, numerator=None):
                           key=lambda e: key(e[0])):
         add(element)
 
-    g_num = None    # Hilbert numerator of in(G); None once G has grown
+    top = None      # the degree whose deficit is being counted
+    deficit = 0     # dim (R/in(G))_top - HF_N(top)
     while pairs:
         d = pairs[0][0]
         if numerator is not None:
-            if g_num is None:
-                g_num = monomial_hilbert_numerator([e[0] for e in basis], n)
-            if (hilbert_function_from_numerator(g_num, n, d)
-                    == hilbert_function_from_numerator(numerator, n, d)):
+            if d != top:
+                top = d
+                deficit = (hilbert_function_from_numerator(
+                    monomial_hilbert_numerator([e[0] for e in basis], n), n, d)
+                    - hilbert_function_from_numerator(numerator, n, d))
+                if deficit < 0:
+                    raise AlgebraError("the Hilbert hint exceeds the Hilbert "
+                                       "function in degree %d" % d)
+            if not deficit:
                 # G is complete in degree d: its pairs reduce to zero
                 while pairs and pairs[0][0] == d:
                     heapq.heappop(pairs)
@@ -347,7 +368,8 @@ def buchberger(generators, numerator=None):
         r = _reduce_dict(_spoly_data(basis[i], basis[j], ring), basis, ring)
         if r:
             add(_split(r, ring))
-            g_num = None
+            # r is reduced against G: one new leading monomial of degree d
+            deficit -= 1
 
     return _interreduce(basis, ring)
 

@@ -37,10 +37,12 @@ class Ideal:
     that of J, interreduced (`plus_regular_multiple`).  Any entry fixes the
     Hilbert numerator, since a linear change of coordinates keeps the
     Hilbert function, so every later basis is Hilbert-driven; a caller that
-    knows the numerator may pass it.  Every yes/no answer is exact: zero
-    and unit from the generators (`is_unit`), membership from any entry
-    (`contains`), equality from an entry both sides hold, else from one
-    containment and the Hilbert numerators (`__eq__`).
+    knows the numerator may pass it.  A first basis with no numerator known
+    is driven by the lower bound prod (1 - z^deg g) when there are at most
+    nvars generators g, and has no hint otherwise.  Every yes/no answer is
+    exact: zero and unit from the generators (`is_unit`), membership from
+    any entry (`contains`), equality from an entry both sides hold, else
+    from one containment and the Hilbert numerators (`__eq__`).
     """
 
     def __init__(self, ring, generators, _numerator=None):
@@ -351,8 +353,10 @@ class Ideal:
         key `coeffs`, the last nonzero one on x.  `work` is the ring with x
         moved last, `image` the map x -> 2x - ell, which sends ell to x (a
         renaming when ell is x, the identity when x is also last).  This is
-        the one place a basis of I is computed, Hilbert-driven when the
-        numerator is known or another entry is in the table.
+        the one place a basis of I is computed.  It is Hilbert-driven when
+        the numerator is known or another entry is in the table, and else,
+        for at most nvars generators, by the lower bound prod (1 - z^deg g)
+        (see `groebner.buchberger`), which is not kept as the numerator.
         """
         entry = self._bases.get(coeffs)
         if entry is not None:
@@ -374,9 +378,16 @@ class Ideal:
         else:
             def image(g):
                 return g.map_to(work)
-        known = self._numerator is not None or self._bases
-        gb = tuple(buchberger([image(g) for g in self.generators],
-                              self.hilbert_numerator() if known else None))
+        gens = self.generators
+        if self._numerator is not None or self._bases:
+            hint = self.hilbert_numerator()
+        elif len(gens) <= ring.nvars:
+            hint = [1]
+            for g in gens:
+                hint = num_mul_one_minus_zd(hint, g.degree())
+        else:
+            hint = None
+        gb = tuple(buchberger([image(g) for g in gens], hint))
         entry = self._bases[coeffs] = (work, image, gb)
         return entry
 

@@ -5,12 +5,12 @@ normal forms by plain division in Polynomial arithmetic, instead of the
 prepared reducers of the Groebner engine, membership by degree-truncated
 linear algebra, equality by fresh reduced bases, Hilbert functions by
 monomial counting, instead of Hilbert numerators, and so colengths,
-degrees and the dimension of an affine algebra by counting standard
-monomials, sympy as an external basis oracle, quotients through
-an elimination basis, saturation as an iterated quotient, instead of one
-stripped Groebner basis, the affine chart of a scheme by Buchberger on
-the dehomogenized generators, instead of the dehomogenized projective
-basis, and reducedness by the characteristic
+degrees, Hilbert numerators and the dimension of an affine algebra by
+counting standard monomials, sympy as an external basis oracle,
+quotients through an elimination basis, saturation as an iterated
+quotient, instead of one stripped Groebner basis, the affine chart of a
+scheme by Buchberger on the dehomogenized generators, instead of the
+dehomogenized projective basis, and reducedness by the characteristic
 polynomial of a random multiplier, instead of the minimal polynomials of
 the coordinates, lines as the RREF rows of their two planes, instead of
 their Plucker vectors, and the crossings of two line sets by testing every
@@ -19,6 +19,7 @@ and substitution term by term, each term the product of the powers of its
 images, instead of by Horner's rule.
 """
 
+import math
 import random
 
 from liaison import modp
@@ -253,6 +254,38 @@ def ci_hilbert_numerator(degrees):
             out.pop()
         num = out
     return num
+
+
+def numerator_by_counting(gens):
+    """Hilbert numerator of the ideal homogeneous generators span, as a
+    list: N(z) = (1-z)^n sum HF(d) z^d, with HF counted on the leading
+    monomials of a fresh basis up to the degree bound of Taylor's
+    resolution (`numerator_degree_bound`), past which N has no term."""
+    n = gens[0].ring.nvars
+    lts = [g.leading_monomial() for g in buchberger(gens)]
+    top = numerator_degree_bound(lts)
+    hf = [hilbert_by_counting(lts, n, d) for d in range(top + 1)]
+    num = [sum((-1) ** j * math.comb(n, j) * hf[k - j]
+               for j in range(min(n, k) + 1)) for k in range(top + 1)]
+    while num and num[-1] == 0:
+        num.pop()
+    return num
+
+
+def hint_kind(gens, numerator):
+    """What a Hilbert hint for a basis of `gens` is: None when there is
+    none, "ci" for the complete-intersection bound prod (1 - z^deg g) of at
+    most nvars generators, "exact" for the numerator of the ideal they
+    span (`numerator_by_counting`), else "other"."""
+    if numerator is None:
+        return None
+    num = list(numerator)
+    while num and num[-1] == 0:
+        num.pop()
+    if (len(gens) <= gens[0].ring.nvars
+            and num == ci_hilbert_numerator([g.degree() for g in gens])):
+        return "ci"
+    return "exact" if num == numerator_by_counting(gens) else "other"
 
 
 def random_homogeneous(ring, degree, rng):

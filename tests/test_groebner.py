@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from liaison import groebner
 from liaison.groebner import buchberger, normal_form
 from liaison.ideals import Ideal
-from liaison.rings import MonomialOrder, PolyRing, mono_divides
+from liaison.rings import AlgebraError, MonomialOrder, PolyRing, mono_divides
 
-from .oracles import (divide, membership_by_linear_algebra,
-                      random_homogeneous, s_polynomial, sympy_groebner)
+from .oracles import (ci_hilbert_numerator, divide,
+                      membership_by_linear_algebra, random_homogeneous,
+                      s_polynomial, sympy_groebner)
 
 P = 32003
 R3 = PolyRing(("x", "y", "z"), P)
@@ -107,12 +108,11 @@ def generator_sets(draw):
     return ring, draw(st.lists(polys, min_size=1, max_size=3))
 
 
-@settings(max_examples=120, deadline=None)
-@given(case=generator_sets())
-def test_buchberger_output_is_a_reduced_basis_of_its_input(case):
-    ring, gens = case
-    gb = buchberger(gens)
-    key = ring.order.key
+def assert_reduced_basis_of(gb, gens):
+    """gb is the reduced basis of the ideal `gens` span, by plain division:
+    monic, sorted by leading monomial, no term divisible by another leading
+    monomial, and every S-polynomial and generator reducing to zero."""
+    key = gens[0].ring.order.key
     lts = [g.leading_monomial() for g in gb]
     assert lts == sorted(lts, key=key)
     for g, lt in zip(gb, lts):
@@ -124,6 +124,78 @@ def test_buchberger_output_is_a_reduced_basis_of_its_input(case):
             assert not divide(s_polynomial(g, h), gb)
     for f in gens:
         assert not divide(f, gb)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=generator_sets())
+def test_buchberger_output_is_a_reduced_basis_of_its_input(case):
+    _, gens = case
+    assert_reduced_basis_of(buchberger(gens), gens)
+
+
+BOUND_RINGS = [PolyRing(("x", "y", "z", "w")[:n], p)
+               for n in (2, 3, 4) for p in (7, P)]
+
+
+@st.composite
+def bounded_form_lists(draw):
+    """At most nvars forms of degrees 1 to 3, in 2 to 4 variables over
+    GF(7) or GF(32003): general ones, or ones that are no regular sequence
+    -- with a common linear factor, with a generator repeated, monomials,
+    or with a second form that is a zerodivisor modulo the first."""
+    ring = draw(st.sampled_from(BOUND_RINGS))
+    kind = draw(st.sampled_from(["general", "common factor", "repeated",
+                                 "monomials", "zerodivisor"]))
+    c = draw(st.integers(1, ring.nvars))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+
+    def form(degree):
+        while True:
+            f = random_homogeneous(ring, degree, rng)
+            if f:
+                return f
+
+    def monomial(degree):
+        exps = [0] * ring.nvars
+        for _ in range(degree):
+            exps[rng.randrange(ring.nvars)] += 1
+        return ring.monomial(tuple(exps))
+
+    degrees = [rng.randrange(1, 4) for _ in range(c)]
+    if kind == "monomials":
+        return [monomial(d) for d in degrees]
+    if kind == "common factor":
+        h = form(1)
+        return [h * form(min(d, 2)) for d in degrees]
+    gens = [form(d) for d in degrees]
+    if kind == "repeated" and c > 1:
+        gens[-1] = gens[0] * rng.randrange(1, ring.prime)
+    if kind == "zerodivisor":
+        a = form(1)
+        gens[0] = a * form(1)
+        if c > 1:
+            gens[1] = a * form(degrees[1])
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(gens=bounded_form_lists())
+def test_complete_intersection_bound_gives_the_unhinted_basis(gens):
+    # c <= n forms of degrees d_i: HF(R/I) >= HF of a complete intersection
+    # of those degrees in every degree, whether or not they form a regular
+    # sequence, so the hint prod (1 - z^d_i) is sound
+    hint = ci_hilbert_numerator([g.degree() for g in gens])
+    gb = buchberger(gens, hint)
+    assert gb == buchberger(gens)
+    assert_reduced_basis_of(gb, gens)
+
+
+def test_a_hint_above_the_hilbert_function_raises():
+    # the bound of one quadric, for two: in degree 3, R/(x*y, x*z) has
+    # dimension 5, and R/(a quadric) has 7
+    with pytest.raises(AlgebraError, match="exceeds"):
+        buchberger([R3.parse("x*y"), R3.parse("x*z")],
+                   ci_hilbert_numerator([2]))
 
 
 @pytest.mark.parametrize("seed", range(5))

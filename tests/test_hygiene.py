@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package or of the tests imports a name
-it never uses, and no function of the package assigns a name it never
-reads.  No linter is a dependency, so these scans are the check."""
+it never uses, no function of the package assigns a name it never reads,
+and no module of the package keeps mutable state outside a call.  No
+linter is a dependency, so these scans are the check."""
 
 import ast
 from pathlib import Path
@@ -141,3 +142,70 @@ def test_no_uncalled_private_helpers():
     found = ["%s:%d: %s" % entry
              for entry in uncalled_private_helpers(modules, readers)]
     assert not found, "private helpers nothing calls:\n" + "\n".join(found)
+
+
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set,
+                    ast.DictComp, ast.ListComp, ast.SetComp)
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def module_state(source):
+    """(line, kind) of every dict, list or set display or comprehension made
+    once rather than per call -- at module or class level, or as a default
+    argument there -- and of every functools cache decorator.
+
+    Function and lambda bodies run per call, so what they make is exempt,
+    and so are assignment targets such as `[a, b] = pair`.
+    """
+    found = []
+
+    def visit(node, once):
+        if (once and isinstance(node, MUTABLE_DISPLAYS)
+                and not isinstance(getattr(node, "ctx", None), ast.Store)):
+            found.append((node.lineno, type(node).__name__))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            for deco in getattr(node, "decorator_list", ()):
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in CACHE_DECORATORS:
+                    found.append((deco.lineno, name))
+                visit(deco, once)
+            visit(node.args, once)
+            body = node.body if isinstance(node.body, list) else [node.body]
+            for part in body:
+                visit(part, False)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, once)
+
+    visit(ast.parse(source), True)
+    return sorted(found)
+
+
+def test_scan_finds_module_state():
+    source = ("import functools\n"
+              "TABLE = {}\n"
+              "NAMES = (1, 2)\n"
+              "[first, second] = NAMES\n"
+              "SQUARES = [i * i for i in NAMES]\n"
+              "class A:\n"
+              "    seen = {1}\n"
+              "    def f(self, acc=[]):\n"
+              "        local = {}\n"
+              "        return lambda: [local]\n"
+              "@functools.lru_cache(maxsize=None)\n"
+              "def g(x, key=lambda y: {y: [y]}):\n"
+              "    return {x: [x]}\n")
+    assert module_state(source) == [(2, "Dict"), (5, "ListComp"),
+                                    (7, "Set"), (8, "List"),
+                                    (11, "lru_cache")]
+
+
+def test_no_module_state_in_the_package():
+    # the benchmark repeats passes in one interpreter and the CLI digests
+    # are pinned per run, so no state may outlive a call
+    found = ["%s:%d: %s" % (path.relative_to(ROOT), line, kind)
+             for path in PACKAGE
+             for line, kind in module_state(path.read_text())]
+    assert not found, "module-level state:\n" + "\n".join(found)

@@ -17,7 +17,8 @@ from liaison.rings import AlgebraError, MonomialOrder, PolyRing, Polynomial
 
 from .oracles import (affine_basis_by_dehomogenizing, ci_hilbert_numerator,
                       degree_by_counting, equal_by_reduced_bases,
-                      hilbert_by_counting, membership_by_linear_algebra,
+                      hilbert_by_counting, hint_kind,
+                      membership_by_linear_algebra,
                       quotient_by_elimination, mult_matrix,
                       random_form_through, random_homogeneous,
                       reduced_by_charpoly, saturate_by_quotients,
@@ -675,8 +676,11 @@ def test_the_table_keeps_every_basis(monkeypatch):
     entries = [ideal._basis_with_last(c) for c in forms + forms]
     assert len(calls) == 2
     assert entries[0] is entries[2] and entries[1] is entries[3]
-    # the second basis knew the numerator the first one fixed
-    assert calls[0][1] is None and calls[1][1] == ideal.hilbert_numerator()
+    # the first basis had three forms in three variables, so the bound of a
+    # complete intersection of their degrees; the second knew the numerator
+    # the first one fixed
+    assert calls[0][1] == ci_hilbert_numerator([2, 3, 3])
+    assert calls[1][1] == ideal.hilbert_numerator()
     assert list(ideal._bases) == forms and ideal._gb is None
 
 
@@ -970,7 +974,11 @@ def test_colon_identity_computes_two_bases(monkeypatch):
     assert ideal.codim() == 3
     key = _normalized_coeffs(f)
     image = ideal._bases[key][1]
-    assert calls == [([image(g) for g in source.generators], None)
+    # neither had a numerator, and each has at most four generators: both
+    # runs are driven by the bound of a complete intersection
+    assert calls == [([image(g) for g in source.generators],
+                      ci_hilbert_numerator([g.degree()
+                                            for g in source.generators]))
                      for source in (other, ideal)]
     assert combined._bases[key][2] == tuple(buchberger(
         [image(g) for g in combined.generators]))
@@ -980,10 +988,16 @@ def test_colon_identity_with_a_zerodivisor_reports_it(monkeypatch):
     # f = x0 is a zerodivisor: I : f = (x1) is not inside J, so
     # (I : f) + J = (x1, x2) is built, and the identity fails; I + f*J gets
     # no numerator, since its Hilbert series does not follow from I and J,
-    # and no other basis here has one either
+    # only the bound of a complete intersection of its generators' degrees,
+    # and every other run is hinted by that bound or an exact numerator
     calls = _counting_buchberger(monkeypatch)
     combined, step = lemma_key_link(I4("x0*x1"), "x0", I4("x0*x1", "x2"))
-    assert calls and all(numerator is None for _, numerator in calls)
+    assert calls and all(hint_kind(gens, numerator) in (None, "ci", "exact")
+                         for gens, numerator in calls)
+    _, image, _ = combined._bases[_normalized_coeffs(R4.parse("x0"))]
+    on_sum = [gens for gens, _ in calls].index(
+        [image(g) for g in combined.generators])
+    assert hint_kind(*calls[on_sum]) == "ci"
     assert step.checks == {"f_regular_on_I": False,
                            "colon_by_pair_eq_colon_by_f": True,
                            "colon_by_f_eq_colon_plus_J": True,

@@ -16,8 +16,9 @@ from liaison.links import (ci_link, embed_and_link, gorenstein_sum,
 from liaison.rings import AlgebraError, PolyRing
 
 from .oracles import (equal_by_reduced_bases, fresh_leading_monomials,
-                      hilbert_functions_by_counting, numerator_degree_bound,
-                      quotient_by_elimination, random_homogeneous)
+                      hilbert_functions_by_counting, hint_kind,
+                      numerator_degree_bound, quotient_by_elimination,
+                      random_homogeneous)
 
 P = 32003
 R4 = PolyRing(("x0", "x1", "x2", "x3"), P)
@@ -134,7 +135,8 @@ def test_regular_sum_numerator_matches_its_basis(seed, degree, monkeypatch):
     # from its own basis with no hint, is N(I) - z^e (N(I) - N(J)); for a
     # quadric f lemma_key_link hands that numerator to the basis of I + f*J,
     # and for a linear f it builds that basis from those of I and J, here
-    # fresh copies, with no hinted run
+    # fresh copies, whose runs know no numerator and are driven by the
+    # bound of a complete intersection of their generators' degrees
     rng = random.Random(7100 + seed)
     while True:
         ideal = Ideal(R4, [random_homogeneous(R4, 2, rng) for _ in range(2)])
@@ -152,19 +154,20 @@ def test_regular_sum_numerator_matches_its_basis(seed, degree, monkeypatch):
 
     def recording(gens, numerator=None):
         gens = list(gens)
-        hints.append((len(gens), numerator))
+        hints.append((gens, numerator))
         return real(gens, numerator)
 
     monkeypatch.setattr(ideals, "buchberger", recording)
     if degree == 2:
         combined, step = lemma_key_link(Ideal(R4, ideal.generators), f, other)
         assert step.passed()
-        assert (len(combined.generators), expected) in hints
+        assert (len(combined.generators), expected) in [
+            (len(gens), numerator) for gens, numerator in hints]
         return
     combined, step = lemma_key_link(Ideal(R4, ideal.generators), f,
                                     Ideal(R4, other.generators))
     assert step.passed()
-    assert hints and all(numerator is None for _, numerator in hints)
+    assert [hint_kind(*run) for run in hints] == ["ci", "ci"]
     _, image, gb = combined._bases[ideals._linear_key(f)]
     assert gb == tuple(real([image(g) for g in combined.generators]))
     assert combined.hilbert_numerator() == expected
