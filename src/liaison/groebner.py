@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import combinations
+from operator import le
 
 from .rings import (
     AlgebraError,
@@ -60,7 +62,7 @@ def minimalize(gens):
     span, without repeats, lowest degree first."""
     out = []
     for g in sorted(set(gens), key=sum):
-        if not any(all(x <= y for x, y in zip(h, g)) for h in out):
+        if not any(all(map(le, h, g)) for h in out):
             out.append(g)
     return out
 
@@ -130,32 +132,24 @@ def monomial_hilbert_numerator(gens, nvars):
             res = [1]
         elif any(sum(g) == 0 for g in gs):
             res = [0]
+        elif not any(any(map(min, a, b)) for a, b in combinations(gs, 2)):
+            # pairwise coprime generators: a complete intersection
+            res = [1]
+            for g in gs:
+                res = num_mul_one_minus_zd(res, sum(g))
         else:
-            coprime = True
-            for i in range(len(gs)):
-                for j in range(i + 1, len(gs)):
-                    if any(min(x, y) for x, y in zip(gs[i], gs[j])):
-                        coprime = False
-                        break
-                if not coprime:
-                    break
-            if coprime:
-                res = [1]
-                for g in gs:
-                    res = num_mul_one_minus_zd(res, sum(g))
-            else:
-                counts = [0] * nvars
-                for g in gs:
-                    for i, e in enumerate(g):
-                        if e:
-                            counts[i] += 1
-                v = counts.index(max(counts))
-                pivot = tuple(1 if i == v else 0 for i in range(nvars))
-                plus = minimalize([g for g in gs if g[v] == 0] + [pivot])
-                quot = minimalize([tuple(e - 1 if i == v and e else e
-                                          for i, e in enumerate(g))
-                                    for g in gs])
-                res = num_add(rec(tuple(plus)), num_shift(rec(tuple(quot)), 1))
+            counts = [0] * nvars
+            for g in gs:
+                for i, e in enumerate(g):
+                    if e:
+                        counts[i] += 1
+            v = counts.index(max(counts))
+            pivot = tuple(1 if i == v else 0 for i in range(nvars))
+            plus = minimalize([g for g in gs if g[v] == 0] + [pivot])
+            quot = minimalize([tuple(e - 1 if i == v and e else e
+                                      for i, e in enumerate(g))
+                                for g in gs])
+            res = num_add(rec(tuple(plus)), num_shift(rec(tuple(quot)), 1))
         memo[key] = res
         return res
 
@@ -388,14 +382,28 @@ def interreduce(basis):
 
 
 def _interreduce(basis, ring):
-    """Minimalize and tail-reduce a list of basis elements; return monic
-    polynomials sorted by increasing leading monomial."""
-    minimal = [(lt, tail) for i, (lt, tail) in enumerate(basis)
-               if not any(mono_divides(lt2, lt) and (lt2 != lt or j < i)
-                          for j, (lt2, _) in enumerate(basis) if j != i)]
-    minimal.sort(key=lambda e: ring.order.key(e[0]))
-    # no other minimal leading monomial divides lt, and every term the
-    # reduction makes is below lt, so lt keeps coefficient 1
-    return [Polynomial(ring, {lt: 1, **_reduce_dict(
-                tail, minimal[:i] + minimal[i + 1:], ring)})
-            for i, (lt, tail) in enumerate(minimal)]
+    """Minimalize and tail-reduce a list of basis elements, in one pass in
+    increasing order of leading monomial; return monic polynomials sorted
+    that way.
+
+    `basis` is a list of (leading monomial, monic tail) pairs in any
+    order.  A divisor of a leading monomial sorts no later than it, so an
+    element is kept when no leading monomial kept before it divides its
+    own; of equal leading monomials the first listed stays.  A tail term
+    lies below its lt, and a divisor of it below that again, so only the
+    elements kept before it can reduce it, and they are already reduced:
+    the tail is reduced against them, and only when one of their leading
+    monomials divides one of its terms.
+    """
+    key = ring.order.key
+    kept = []       # (lt, reduced tail), increasing lt
+    lts = []
+    for lt, tail in sorted(basis, key=lambda e: key(e[0])):
+        if any(mono_divides(h, lt) for h in lts):
+            continue
+        if any(mono_divides(h, m) for m in tail for h in lts):
+            tail = _reduce_dict(tail, kept, ring)
+        kept.append((lt, tail))
+        lts.append(lt)
+    # the reduction makes terms below lt only, so lt keeps coefficient 1
+    return [Polynomial(ring, {lt: 1, **tail}) for lt, tail in kept]

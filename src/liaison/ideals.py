@@ -41,8 +41,9 @@ class Ideal:
     is driven by the lower bound prod (1 - z^deg g) when there are at most
     nvars generators g, and has no hint otherwise.  Every yes/no answer is
     exact: zero and unit from the generators (`is_unit`), membership from
-    any entry (`contains`), equality from an entry both sides hold, else
-    from one containment and the Hilbert numerators (`__eq__`).
+    the generators made, else from any entry (`contains`), equality from an
+    entry both sides hold, else from one containment and the Hilbert
+    numerators (`__eq__`).
     """
 
     def __init__(self, ring, generators, _numerator=None):
@@ -110,9 +111,12 @@ class Ideal:
                 else self._generators)
 
     def contains(self, f):
-        """f in I, by one normal form against a basis in the table
-        (`_any_basis`).  The change of coordinates of an entry is a ring
-        automorphism, so f lies in I exactly when its image reduces to zero.
+        """f in I.  A generator of I is a member at once, with no image,
+        reducer or basis; only generators already made are read, so a
+        colon's generators are not made for this.  Any other f by one normal
+        form against a basis in the table (`_any_basis`): the change of
+        coordinates of an entry is a ring automorphism, so f lies in I
+        exactly when its image reduces to zero.
         """
         if isinstance(f, str):
             f = self.ring.parse(f)
@@ -123,17 +127,29 @@ class Ideal:
         return self._member()(f)
 
     def contains_ideal(self, other):
-        """Every generator of `other` in I, with the reducer prepared once."""
+        """Every generator of `other` in I, as `contains` tests it, with the
+        reducer prepared at most once."""
         if other.ring != self.ring:
             raise RingMismatchError("membership test across rings")
         member = self._member()
         return all(member(g) for g in other.generators)
 
     def _member(self):
-        """The test f -> (f in I) that `contains` describes."""
-        work, image, gb = self._any_basis()
-        nf = reducer(gb, work)
-        return lambda f: not nf(image(f))
+        """The test f -> (f in I) that `contains` describes; the reducer is
+        prepared on the first f that is not a generator."""
+        own = () if callable(self._generators) else self._generators
+        nf = image = None
+
+        def member(f):
+            nonlocal nf, image
+            if f in own:
+                return True
+            if nf is None:
+                work, image, gb = self._any_basis()
+                nf = reducer(gb, work)
+            return not nf(image(f))
+
+        return member
 
     def _any_basis(self):
         """An entry of the table: the ring's own basis when made, else any

@@ -13,7 +13,7 @@ from itertools import zip_longest
 
 from .groebner import minimalize, num_mul_one_minus_zd
 from .ideals import Ideal
-from .rings import AlgebraError
+from .rings import AlgebraError, Polynomial
 
 
 def minimal_monomial_generators(ideal):
@@ -32,8 +32,9 @@ def lift_monomial(ring, exps, var="t"):
 
     `ring` is the extended ring containing `var`; `exps` indexes the
     remaining variables in order.  x_i^a contributes
-    prod_{j=0}^{a-1} (x_i - j*t); the result is homogeneous of the same
-    total degree.
+    prod_{j=0}^{a-1} (x_i - j*t), built at once from the coefficients of
+    the falling factorial X(X-1)...(X-a+1) mod p; the result is
+    homogeneous of the same total degree.
     """
     p = ring.prime
     top = max(exps, default=0)
@@ -49,11 +50,20 @@ def lift_monomial(ring, exps, var="t"):
         raise AlgebraError("exponent vector does not match the base ring")
     out = ring.one()
     for i, a in zip(plain, exps):
+        if not a:
+            continue
+        # X(X-1)...(X-a+1) = sum c_k X^k, lowest degree first, so
+        # prod_j (x_i - j*t) = sum c_k x_i^k t^(a-k)
+        c = [1]
         for j in range(a):
-            coeffs = [0] * ring.nvars
-            coeffs[i] = 1
-            coeffs[ti] = (-j) % p
-            out = out * ring.linear_form(coeffs)
+            c = [(lo - j * hi) % p for lo, hi in zip([0] + c, c + [0])]
+        terms = {}
+        for k, ck in enumerate(c):
+            if ck:
+                m = [0] * ring.nvars
+                m[i], m[ti] = k, a - k
+                terms[tuple(m)] = ck
+        out = out * Polynomial(ring, terms)
     return out
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liaison import groebner
-from liaison.groebner import buchberger, normal_form
+from liaison.groebner import buchberger, interreduce, normal_form
 from liaison.ideals import Ideal
 from liaison.rings import AlgebraError, MonomialOrder, PolyRing, mono_divides
 
@@ -196,6 +196,80 @@ def test_a_hint_above_the_hilbert_function_raises():
     with pytest.raises(AlgebraError, match="exceeds"):
         buchberger([R3.parse("x*y"), R3.parse("x*z")],
                    ci_hilbert_numerator([2]))
+
+
+INTERREDUCE_RINGS = [PolyRing(("x", "y", "z", "w")[:n], p)
+                     for n in (3, 4) for p in (7, P)]
+
+
+@st.composite
+def redundant_bases(draw):
+    """Generators, and a shuffled Groebner basis of their ideal with
+    redundant elements: the reduced basis, multiples of its elements,
+    elements with an equal leading monomial and another tail, and elements
+    whose tails are perturbed by combinations of earlier elements."""
+    ring = draw(st.sampled_from(INTERREDUCE_RINGS))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    key = ring.order.key
+    gens = [g for g in (random_homogeneous(ring, rng.randrange(1, 4), rng)
+                        for _ in range(rng.randrange(1, 4))) if g]
+    if not gens:
+        gens = [ring.gens()[0]]
+    gb = buchberger(gens)
+    out = []
+    for i, g in enumerate(gb):
+        lt = g.leading_monomial()
+        # the element, a scalar multiple of a copy with the same leading
+        # monomial and a perturbed tail, or both
+        perturbed = g
+        for h in gb[:i]:
+            gap = g.degree() - h.degree()
+            if gap < 0:
+                continue
+            term = h * random_homogeneous(ring, gap, rng)
+            if term and key(term.leading_monomial()) < key(lt):
+                perturbed = perturbed + term
+        choice = rng.randrange(3)
+        if choice != 1:
+            out.append(g)
+        if choice != 0 or perturbed is g:
+            out.append(perturbed * rng.randrange(1, ring.prime))
+        for _ in range(rng.randrange(2)):
+            multiple = g * random_homogeneous(ring, rng.randrange(1, 3), rng)
+            if multiple:
+                out.append(multiple)
+    rng.shuffle(out)
+    return gens, out
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=redundant_bases())
+def test_interreduce_returns_the_reduced_basis(case):
+    gens, basis = case
+    got = interreduce(basis)
+    assert got == buchberger(gens)
+    assert_reduced_basis_of(got, gens)
+
+
+def test_interreduce_reduces_only_tails_that_need_it(monkeypatch):
+    # a reduced basis passes with no normal form; an element whose tail an
+    # earlier leading monomial divides is reduced once, against the
+    # elements before it
+    gb = buchberger([R3.parse(t) for t in ("x*y", "x^2 + y*z", "z^3")])
+    assert [str(g) for g in gb] == ["x*y", "x^2 + y*z", "z^3", "y^2*z"]
+    calls = []
+    real = groebner._reduce_dict
+
+    def counting(f, basis, ring):
+        calls.append(len(basis))
+        return real(f, basis, ring)
+
+    monkeypatch.setattr(groebner, "_reduce_dict", counting)
+    assert interreduce(list(reversed(gb))) == gb and calls == []
+    # x^2 + 5*x*y + y*z: its term x*y is the first leading monomial
+    messy = gb[1] + gb[0] * 5
+    assert interreduce([gb[3], messy, gb[2], gb[0]]) == gb
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("seed", range(5))

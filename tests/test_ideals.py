@@ -147,6 +147,62 @@ def test_linear_colons_are_memoised(monkeypatch):
     assert qz == I3("x", "y*z")
 
 
+def _counting_reducer(monkeypatch):
+    """Record every reducer an ideal prepares for a membership test."""
+    made = []
+    real = ideals.reducer
+
+    def counting(gens, ring):
+        made.append(gens)
+        return real(gens, ring)
+
+    monkeypatch.setattr(ideals, "reducer", counting)
+    return made
+
+
+def test_a_generator_is_a_member_with_no_basis(monkeypatch):
+    calls = _counting_buchberger(monkeypatch)
+    made = _counting_reducer(monkeypatch)
+    g1, g2, h = (R3.parse(t) for t in ("x^2 - y*z", "y^3 + z^3", "x*z"))
+    ideal = Ideal(R3, [g1, g2])
+    assert ideal.contains(g1) and ideal.contains(R3.parse("x^2 - y*z"))
+    assert (ideal + Ideal(R3, [h])).contains_ideal(ideal)
+    assert calls == [] and made == [] and not ideal._bases
+    # any other member still needs the basis, and one reducer per test
+    assert ideal.contains(g1 * 2) and not ideal.contains(h)
+    assert len(calls) == 1 and len(made) == 2
+
+
+def test_membership_does_not_make_a_colons_generators():
+    # (x*z, y*z^2) : z = (x, y*z): its generators are made on first read
+    colon = I3("x*z", "y*z^2").quotient(R3.parse("z"))
+    assert callable(colon._generators)
+    assert colon.contains(R3.parse("y*z")) and not colon.contains(
+        R3.parse("y^2"))
+    assert colon.contains_ideal(I3("x*y", "x*z"))
+    assert callable(colon._generators)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=small_seeds)
+def test_membership_matches_linear_algebra_on_generators(seed):
+    # the generators themselves, their scalar multiples, combinations of
+    # them and random forms, most of them non-members
+    rng = random.Random(seed)
+    ideal = random_ideal(R3, rng)
+    gens = ideal.generators
+    top = max(g.degree() for g in gens) + rng.randrange(2)
+    candidates = list(gens) + [g * rng.randrange(2, P) for g in gens]
+    candidates.append(sum((random_homogeneous(R3, top - g.degree(), rng) * g
+                           for g in gens), R3.zero()))
+    candidates += [random_homogeneous(R3, rng.randrange(1, top + 1), rng)
+                   for _ in range(3)]
+    for f in candidates:
+        if f:
+            assert ideal.contains(f) == membership_by_linear_algebra(
+                f, gens, f.degree())
+
+
 def test_regular_linear_form_strips_nothing(monkeypatch):
     calls = _counting_buchberger(monkeypatch)
     cubic = I4("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")

@@ -6,19 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liaison import ideals, links
+from liaison import groebner, ideals, links
 from liaison.groebner import buchberger
 from liaison.ideals import GenericityError, Ideal
 from liaison.links import (ci_link, embed_and_link, gorenstein_sum,
                            is_complete_intersection_gens, is_geometric_link,
                            lemma_key_link, link_involution_check,
                            proper_ci_intersection_link)
-from liaison.rings import AlgebraError, PolyRing
+from liaison.rings import AlgebraError, PolyRing, Polynomial
 
-from .oracles import (equal_by_reduced_bases, fresh_leading_monomials,
-                      hilbert_functions_by_counting, hint_kind,
-                      numerator_degree_bound, quotient_by_elimination,
-                      random_homogeneous)
+from .oracles import (degree_monomials, equal_by_reduced_bases,
+                      fresh_leading_monomials, hilbert_functions_by_counting,
+                      hint_kind, numerator_degree_bound,
+                      quotient_by_elimination, random_homogeneous)
 
 P = 32003
 R4 = PolyRing(("x0", "x1", "x2", "x3"), P)
@@ -268,6 +268,39 @@ def test_colon_identity_tests_each_containment_once(degree, monkeypatch):
     _, step = lemma_key_link(ideal, f, other)
     assert step.passed()
     assert len({(id(a), id(b)) for a, b in tested}) == len(tested)
+
+
+def test_colon_identity_work_stays_at_its_two_bases(monkeypatch):
+    # the seed-0 ci222+1 instance of the colon_lift benchmark: three dense
+    # quadrics I, J = I + (a linear form), and a linear f.  The two bases
+    # image the 4 + 3 generators of J and I once each; I's generators lie in
+    # J and in I + f*J as generators, with no image and no normal form, and
+    # the interreductions reduce only the tails that need it
+    rng = random.Random("colon_identity:0:0")
+
+    def dense(degree):
+        return R4.from_dict({m: rng.randrange(1, P)
+                             for m in degree_monomials(4, degree)})
+
+    gens = [dense(2) for _ in range(3)]
+    more, f = dense(1), dense(1)
+    counts = {"_reduce_dict": 0, "substitute": 0}
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(groebner, "_reduce_dict",
+                        counting("_reduce_dict", groebner._reduce_dict))
+    monkeypatch.setattr(Polynomial, "substitute",
+                        counting("substitute", Polynomial.substitute))
+    ideal = Ideal(R4, gens)
+    _, step = lemma_key_link(ideal, f, ideal + Ideal(R4, [more]))
+    assert step.passed()
+    assert counts["substitute"] <= 7
+    assert counts["_reduce_dict"] <= 24
 
 
 def test_embed_and_link_preserves_hilbert_function():
