@@ -158,10 +158,15 @@ def cmd_link(args):
     report["prime"] = ideal.ring.prime
     if "f" in data and "other" in data:
         other = _load_ideal(data["other"], args.prime)
+        if other.ring != ideal.ring:
+            raise CliError("'other' must be over the ring of the ideal")
         try:
             f = ideal.ring.parse(data["f"])
         except (AlgebraError, TypeError) as exc:
             raise CliError("bad multiplier: %s" % exc)
+        if f.is_constant() or not f.is_homogeneous():
+            raise CliError("multiplier must be a homogeneous non-constant "
+                           "form: %s" % f)
         _, step = lemma_key_link(ideal, f, other)
         report["identity"] = step.to_json()
         report["verdict"] = ("identity holds" if step.passed()
@@ -171,6 +176,8 @@ def cmd_link(args):
     if "linking" not in data:
         raise CliError("link input needs 'linking' or ('f', 'other')")
     ci = _load_ideal(data["linking"], args.prime)
+    if ci.ring != ideal.ring:
+        raise CliError("'linking' must be over the ring of the ideal")
     ok, residual, _ = link_involution_check(ci, ideal)
     geometric = is_geometric_link(ci, ideal.saturate_irrelevant(), residual)
     report.update({

@@ -1,9 +1,9 @@
 """Ideal-level algebra: quotients, saturations, Hilbert data, scheme tests.
 
-Ideals are immutable and live in degrevlex rings; their Groebner bases, one
-per linear form taken last, and the numeric invariants derived from them
-are kept once computed.  All ideals handed to users are homogeneous;
-dehomogenized (affine) computations happen internally only.
+Ideals are immutable; their degrevlex Groebner bases, one per linear form
+taken last, and the numeric invariants derived from them are kept once
+computed.  All ideals handed to users are homogeneous; dehomogenized
+(affine) computations happen internally only.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from . import modp
 from .groebner import (buchberger, interreduce, monomial_hilbert_numerator,
                        num_add, num_mul_one_minus_zd, num_shift, reducer,
                        strip_one_minus_z)
-from .rings import (AlgebraError, RingMismatchError, MonomialOrder,
-                    Polynomial, mono_div, mono_divides)
+from .rings import (AlgebraError, RingMismatchError, Polynomial, mono_div,
+                    mono_divides)
 
 
 class GenericityError(AlgebraError):
@@ -24,14 +24,16 @@ class GenericityError(AlgebraError):
 
 
 class Ideal:
-    """Homogeneous ideal in a degrevlex ring, with a table of Groebner bases.
+    """Homogeneous ideal, with a table of degrevlex Groebner bases.
 
     The table maps a linear form ell, given by its coefficients with the
     last nonzero one 1, to (work ring, image map, the reduced degrevlex
     basis of the image of I with ell last); `_basis_with_last` fills it,
     and an entry, once made, is kept.  The ring's own basis is the entry
     for the last variable.  A linear colon enters the basis it stripped,
-    and makes its generators on first read (`_colon_linear`).  For ell
+    and makes its generators on first read (`_colon_linear`); an
+    intersection enters its reduced basis, read off the entry of an ideal
+    in two more variables (`intersect`), as its own.  For ell
     regular on R/I and I ⊆ J, in(I + ell·J) = in(I) + ell·in(J) with ell
     last (Bayer-Stillman), so I + ell·J enters the entry of I and ell times
     that of J, interreduced (`plus_regular_multiple`).  Any entry fixes the
@@ -47,9 +49,6 @@ class Ideal:
     """
 
     def __init__(self, ring, generators, _numerator=None):
-        if ring.order.kind != "degrevlex":
-            raise AlgebraError("ideals live in degrevlex rings, not %r"
-                               % (ring.order,))
         self.ring = ring
         self._generators = (generators if callable(generators)
                             else self._checked(generators))
@@ -231,32 +230,53 @@ class Ideal:
             raise RingMismatchError("ideals from different rings")
         return other
 
-    # -- intersection, quotient, saturation, elimination ---------------------
+    # -- intersection, quotient, saturation ----------------------------------
 
     def intersect(self, other):
+        """I meet J, from the entry for u + v of L = u·I + v·J in R[u, v].
+
+        L is graded by the degrees in u and in v, so for f in R, (u + v)·f
+        lies in L exactly when u·f lies in u·I and v·f in v·J.  So
+        K = L : (u + v), graded by the total degree in u and v, has I meet J
+        as its part of degree 0.  The entry is the reduced basis of L's
+        image, graded too, as the image map keeps that degree.  With one
+        power of the last variable stripped, as in `_colon_linear`, it is a
+        Groebner basis of K's image.  An element whose leading monomial is
+        free of u and v then lies in R, and only those divide a leading
+        monomial in R: they are a Groebner basis of I meet J, and
+        interreduced, the reduced basis, which enters the result's table
+        as its own.
+        """
         other = self._coerce(other)
         if self.is_zero() or other.is_unit():
             return self
         if other.is_zero() or self.is_unit():
             return other
-        aux = self.ring.fresh_variable("u")
-        ring_u = self.ring.with_variables((aux,) + self.ring.variables,
-                                          MonomialOrder("elim", 1))
-        u = ring_u.variable(aux)
-        one = ring_u.one()
-        lifted = [u * g.map_to(ring_u) for g in self.generators]
-        lifted += [(one - u) * g.map_to(ring_u) for g in other.generators]
-        gb = buchberger(lifted)
-        kept = [g.map_to(self.ring) for g in gb
-                if g.terms and all(m[0] == 0 for m in g.terms)]
-        return Ideal(self.ring, kept)
+        ring = self.ring
+        n = ring.nvars
+        big = ring.with_variables(ring.variables + (ring.fresh_variable("u"),
+                                                    ring.fresh_variable("v")))
+
+        def lift(gens, uv):
+            return [Polynomial(big, {m + uv: c for m, c in g.terms.items()})
+                    for g in gens]
+
+        lifted = Ideal(big, lift(self.generators, (1, 0))
+                       + lift(other.generators, (0, 1)))
+        _, _, gb = lifted._basis_with_last((0,) * n + (1, 1))
+        basis = tuple(interreduce([
+            Polynomial(ring, {m[:n]: c for m, c in g.terms.items()})
+            for g in _strip_last(gb, 1) if not any(g.leading_monomial()[n:])]))
+        out = Ideal(ring, basis)
+        out._bases[_last_key(ring)] = (ring, _identity, basis)
+        return out
 
     def quotient(self, by):
         """I : f or I : J.
 
         By a linear form, from one stripped basis (`_colon_linear`); by any
         other form f, the unit ideal when f lies in I (`contains`), else
-        (I meet (f)) / f through an elimination basis.  I : J intersects
+        (I meet (f)) / f, on the basis `intersect` enters.  I : J intersects
         the quotients by the generators of J, the unit ideal when J is
         zero.  Linear generators go first: the basis their colon computes
         then answers the membership tests of the others.
@@ -343,13 +363,7 @@ class Ideal:
             # None stands for self, which is not stored in its own memo
             return self._colons[key] or self
         work, image, gb = self._basis_with_last(coeffs)
-        stripped = []
-        for g in gb:
-            k = min(cap, min(m[-1] for m in g.terms))
-            if k:
-                g = Polynomial(work, {m[:-1] + (m[-1] - k,): c
-                                      for m, c in g.terms.items()})
-            stripped.append(g)
+        stripped = _strip_last(gb, cap)
         if all(g is h for g, h in zip(stripped, gb)):
             out = self
         else:
@@ -369,7 +383,8 @@ class Ideal:
         key `coeffs`, the last nonzero one on x.  `work` is the ring with x
         moved last, `image` the map x -> 2x - ell, which sends ell to x (a
         renaming when ell is x, the identity when x is also last).  This is
-        the one place a basis of I is computed.  It is Hilbert-driven when
+        the one place the package computes a basis: of I, or of the ideal in
+        two more variables that `intersect` builds.  It is Hilbert-driven when
         the numerator is known or another entry is in the table, and else,
         for at most nvars generators, by the lower bound prod (1 - z^deg g)
         (see `groebner.buchberger`), which is not kept as the numerator.
@@ -612,6 +627,20 @@ def _exact_div(g, f):
         q = q + t
         rem = rem - t * f
     return q
+
+
+def _strip_last(gb, cap):
+    """The elements of gb, each with min(cap, k) powers of the last variable
+    divided out, for x^k the largest power dividing it; an element x does
+    not divide is the same object."""
+    out = []
+    for g in gb:
+        k = min(cap, min(m[-1] for m in g.terms))
+        if k:
+            g = Polynomial(g.ring, {m[:-1] + (m[-1] - k,): c
+                                    for m, c in g.terms.items()})
+        out.append(g)
+    return out
 
 
 def _unit_ideal(ring):

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 
 from .ideals import GenericityError, Ideal
-from .rings import AlgebraError
+from .rings import AlgebraError, RingMismatchError
 
 # seeded draws of a general CI before proper_ci_intersection_link gives up
 CI_LINK_TRIES = 24
@@ -145,9 +145,11 @@ def lemma_key_link(ideal, f, other):
     """
     if isinstance(f, str):
         f = ideal.ring.parse(f)
-    if not f or f.is_constant():
-        raise AlgebraError("multiplier must be a non-constant form")
-    if f.degree() == 1 and f.is_homogeneous():
+    if f.ring != ideal.ring or other.ring != ideal.ring:
+        raise RingMismatchError("the colon identity needs one ring")
+    if f.is_constant() or not f.is_homogeneous():
+        raise AlgebraError("multiplier must be a homogeneous non-constant form")
+    if f.degree() == 1:
         other.groebner_basis_with_last(f)
     if not other.contains_ideal(ideal):
         raise AlgebraError("identity needs I contained in J")

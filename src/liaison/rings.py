@@ -126,60 +126,26 @@ def mono_lcm(a, b):
 
 
 class MonomialOrder:
-    """Total multiplicative well-order on exponent tuples.
-
-    kind is "degrevlex" or "elim"; for "elim", the first `block`
-    variables are eliminated (compared first, each block by degrevlex).
-    """
-
-    __slots__ = ("kind", "block")
-
-    def __init__(self, kind="degrevlex", block=0):
-        if kind not in ("degrevlex", "elim"):
-            raise AlgebraError("unknown monomial order %r" % (kind,))
-        if kind == "elim" and block < 1:
-            raise AlgebraError("elimination order needs a positive block size")
-        self.kind = kind
-        self.block = block if kind == "elim" else 0
+    """Degree reverse lexicographic order on exponent tuples, the one
+    monomial order of the package."""
 
     def key(self, m):
         """Sort key; larger key = larger monomial."""
-        if self.kind == "degrevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
-        k = self.block
-        head, tail = m[:k], m[k:]
-        return (
-            sum(head),
-            tuple(-e for e in reversed(head)),
-            sum(tail),
-            tuple(-e for e in reversed(tail)),
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.block == other.block
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.block))
-
-    def __repr__(self):
-        if self.kind == "elim":
-            return "MonomialOrder('elim', %d)" % self.block
-        return "MonomialOrder(%r)" % self.kind
+        return (sum(m), tuple(-e for e in reversed(m)))
 
 
-DEGREVLEX = MonomialOrder("degrevlex")
+DEGREVLEX = MonomialOrder()
 
 
 class PolyRing:
-    """Graded polynomial ring descriptor: variables, prime, monomial order."""
+    """Graded polynomial ring descriptor: variables and prime, ordered by
+    degrevlex with the variables in the order listed."""
 
-    __slots__ = ("variables", "field", "order", "_index", "_hash")
+    __slots__ = ("variables", "field", "_index", "_hash")
 
-    def __init__(self, variables, prime=32003, order=DEGREVLEX):
+    order = DEGREVLEX
+
+    def __init__(self, variables, prime=32003):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise AlgebraError("ring variables must be distinct")
@@ -190,9 +156,8 @@ class PolyRing:
                 raise AlgebraError("bad variable name %r" % (v,))
         self.variables = variables
         self.field = PrimeField(prime)
-        self.order = order
         self._index = {v: i for i, v in enumerate(variables)}
-        self._hash = hash((variables, prime, order))
+        self._hash = hash((variables, prime))
 
     @property
     def nvars(self):
@@ -203,19 +168,16 @@ class PolyRing:
         return self.field.p
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and self.variables == other.variables
-            and self.field == other.field
-            and self.order == other.order
-        )
+        return (isinstance(other, PolyRing)
+                and self.variables == other.variables
+                and self.field == other.field)
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return "PolyRing(%s, prime=%d, order=%r)" % (
-            ",".join(self.variables), self.prime, self.order)
+        return "PolyRing(%s, prime=%d)" % (",".join(self.variables),
+                                           self.prime)
 
     # -- element constructors ------------------------------------------------
 
@@ -274,19 +236,17 @@ class PolyRing:
         """Ring with one appended variable."""
         if name in self._index:
             raise AlgebraError("variable %r already present" % (name,))
-        return PolyRing(self.variables + (name,), self.prime, self.order)
+        return PolyRing(self.variables + (name,), self.prime)
 
     def drop(self, name):
         """Ring without the named variable."""
         if name not in self._index:
             raise AlgebraError("no variable %r" % (name,))
         rest = tuple(v for v in self.variables if v != name)
-        order = self.order if self.order.kind != "elim" else DEGREVLEX
-        return PolyRing(rest, self.prime, order)
+        return PolyRing(rest, self.prime)
 
-    def with_variables(self, variables, order=None):
-        return PolyRing(variables, self.prime,
-                        order if order is not None else DEGREVLEX)
+    def with_variables(self, variables):
+        return PolyRing(variables, self.prime)
 
     def fresh_variable(self, stem="u"):
         """A variable name not already used in this ring."""

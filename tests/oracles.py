@@ -7,7 +7,8 @@ linear algebra, equality by fresh reduced bases, Hilbert functions by
 monomial counting, instead of Hilbert numerators, and so colengths,
 degrees, Hilbert numerators and the dimension of an affine algebra by
 counting standard monomials, sympy as an external basis oracle,
-quotients through an elimination basis, saturation as an iterated
+intersections by sympy's lex elimination basis, instead of a colon in two
+more variables, quotients through an intersection, saturation as an iterated
 quotient, instead of one stripped Groebner basis, the affine chart of a
 scheme by Buchberger on the dehomogenized generators, instead of the
 dehomogenized projective basis, and reducedness by the characteristic
@@ -311,11 +312,34 @@ def random_form_through(ring, point, rng):
             return ring.linear_form(coeffs)
 
 
+def intersection_by_elimination(ideal, other):
+    """The elements of ideal meet other that sympy's lex basis of
+    t·I + (1 - t)·J over GF(p), with t a new variable first, holds free of
+    t, as strings in the ring of the ideals.  They are a Groebner basis of
+    the intersection; `sympy_groebner` of them is its reduced basis."""
+    import sympy
+
+    ring = ideal.ring
+    syms = sympy.symbols(list(ring.variables))
+    names = dict(zip(ring.variables, syms))
+    t = sympy.Dummy("t")
+
+    def expr(g):
+        return sympy.sympify(str(g).replace("^", "**"), names)
+
+    polys = ([t * expr(g) for g in ideal.generators]
+             + [(1 - t) * expr(g) for g in other.generators])
+    gb = sympy.groebner(polys, t, *syms, order="lex", modulus=ring.prime,
+                        symmetric=False)
+    return [str(ring.parse(str(e).replace("**", "^").replace(" ", "")))
+            for e in gb.exprs if t not in e.free_symbols]
+
+
 def quotient_by_elimination(ideal, by):
     """ideal : by for a form or an ideal, as (ideal meet (f)) / f.
 
-    The intersection comes from an elimination basis in one extra
-    variable; by an ideal, the quotients by its generators are intersected.
+    The intersection is `Ideal.intersect`'s; by an ideal, the quotients by
+    its generators are intersected.
     """
     forms = [by] if isinstance(by, Polynomial) else list(by.generators)
     out = None

@@ -95,6 +95,14 @@ CONFIG_ERRORS = {
                                  {"coords": [0, 1, 0, 0], "mult": 1}]}),
     # only lift compares Hilbert functions up to a bound
     "hvector_bound": (["hvector", "--bound", "3"], GOOD),
+    "link_other_over_other_variables": (["link"], {
+        "ideal": GOOD, "f": "w", "other": ideal_obj("xyz", ["x", "y"])}),
+    "link_linking_over_another_ring": (["link"], {
+        "ideal": GOOD, "linking": ideal_obj("xyzw", ["x^2 + y*z"], 101)}),
+    "link_inhomogeneous_multiplier": (["link"], {
+        "ideal": GOOD, "f": "z + 1", "other": GOOD}),
+    "link_constant_multiplier": (["link"], {
+        "ideal": GOOD, "f": "3", "other": GOOD}),
 }
 
 

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a name
 it never uses, no function of the package assigns a name it never reads,
-and no module of the package keeps mutable state outside a call.  No
-linter is a dependency, so these scans are the check."""
+no module of the package keeps mutable state outside a call, and one
+method of the package computes Groebner bases.  No linter is a
+dependency, so these scans are the check."""
 
 import ast
 from pathlib import Path
@@ -209,3 +210,53 @@ def test_no_module_state_in_the_package():
              for path in PACKAGE
              for line, kind in module_state(path.read_text())]
     assert not found, "module-level state:\n" + "\n".join(found)
+
+
+def buchberger_readers(source):
+    """(line, scope) of every read of the name `buchberger`, bare or as an
+    attribute, called or not; the scope is the enclosing function, dotted
+    with its classes and outer functions, or "<module>"."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = node.name if scope == "<module>" else (
+                "%s.%s" % (scope, node.name))
+        elif ((isinstance(node, ast.Name) and node.id == "buchberger"
+               and isinstance(node.ctx, ast.Load))
+              or (isinstance(node, ast.Attribute)
+                  and node.attr == "buchberger")):
+            found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_buchberger_readers():
+    source = ("from .groebner import buchberger\n"
+              "from . import groebner\n"
+              "class Ideal:\n"
+              "    def _basis_with_last(self):\n"
+              "        return buchberger([])\n"
+              "    def intersect(self):\n"
+              "        def inner():\n"
+              "            return groebner.buchberger([])\n"
+              "        return inner\n"
+              "run = buchberger\n")
+    assert buchberger_readers(source) == [
+        (5, "Ideal._basis_with_last"), (8, "Ideal.intersect.inner"),
+        (10, "<module>")]
+
+
+def test_one_method_computes_bases():
+    # every basis of the package is an entry of an ideal's table, so the
+    # Hilbert hint and the table's reuse apply to all of them
+    found = ["%s:%d: %s" % (path.relative_to(ROOT), line, scope)
+             for path in PACKAGE
+             for line, scope in buchberger_readers(path.read_text())
+             if scope != "Ideal._basis_with_last"]
+    assert not found, "buchberger outside Ideal._basis_with_last:\n" + (
+        "\n".join(found))

@@ -13,7 +13,8 @@ from liaison.links import (ci_link, embed_and_link, gorenstein_sum,
                            is_complete_intersection_gens, is_geometric_link,
                            lemma_key_link, link_involution_check,
                            proper_ci_intersection_link)
-from liaison.rings import AlgebraError, PolyRing, Polynomial
+from liaison.rings import (AlgebraError, PolyRing, Polynomial,
+                           RingMismatchError)
 
 from .oracles import (degree_monomials, equal_by_reduced_bases,
                       fresh_leading_monomials, hilbert_functions_by_counting,
@@ -97,6 +98,11 @@ def test_colon_identity_preconditions():
         lemma_key_link(I4("x0*x1"), "x2", I4("x2", "x3"))  # I not inside J
     with pytest.raises(AlgebraError):
         lemma_key_link(I4("x0*x1"), "1", I4("x0", "x1"))   # constant f
+    with pytest.raises(AlgebraError):
+        lemma_key_link(I4("x0*x1"), "x2 + x3^2", I4("x0", "x1"))
+    ring3 = PolyRing(("x0", "x1", "x2"), P)
+    with pytest.raises(RingMismatchError):
+        lemma_key_link(I4("x0*x1"), "x2", Ideal.from_strings(ring3, ["x0"]))
 
 
 @pytest.mark.parametrize("seed", range(4))

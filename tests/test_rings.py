@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liaison.rings import (_EXP_LIMIT, DEGREVLEX, AlgebraError,
-                           MonomialOrder, PolyRing, PrimeField, mono_divides,
-                           mono_div, mono_mul)
+from liaison.rings import (_EXP_LIMIT, DEGREVLEX, AlgebraError, PolyRing,
+                           PrimeField, mono_divides, mono_div, mono_mul)
 
 from .oracles import substitute_termwise
 
@@ -63,11 +62,6 @@ def test_degrevlex_classic_order():
     key = DEGREVLEX.key
     assert key((1, 0, 0)) > key((0, 1, 0)) > key((0, 0, 1))
     assert key((0, 2, 0)) > key((1, 0, 1))
-
-
-def test_elim_block_order_prefers_first_block():
-    key = MonomialOrder("elim", block=1).key
-    assert key((1, 0, 0)) > key((0, 9, 9))
 
 
 # -- polynomials -------------------------------------------------------------
