@@ -121,9 +121,8 @@ def _as_text(obj, indent=0):
     return "%s%s" % (pad, obj)
 
 
-def _base_report(args, command):
-    return {"command": command, "prime": args.prime or DEFAULT_PRIME,
-            "seed": args.seed}
+def _base_report(args, command, prime):
+    return {"command": command, "prime": prime, "seed": args.seed}
 
 
 def cmd_hvector(args):
@@ -131,8 +130,7 @@ def cmd_hvector(args):
     ideal = _load_ideal(data, args.prime)
     if ideal.is_unit():
         raise CliError("unit ideal has no scheme")
-    report = _base_report(args, "hvector")
-    report["prime"] = ideal.ring.prime
+    report = _base_report(args, "hvector", ideal.ring.prime)
     cm_ok, cm_cert = ideal.cm_test(seed=args.seed)
     hv = ideal.h_vector()
     report.update({
@@ -154,8 +152,7 @@ def cmd_link(args):
     if not isinstance(data, dict) or "ideal" not in data:
         raise CliError("link input needs an 'ideal' object")
     ideal = _load_ideal(data["ideal"], args.prime)
-    report = _base_report(args, "link")
-    report["prime"] = ideal.ring.prime
+    report = _base_report(args, "link", ideal.ring.prime)
     if "f" in data and "other" in data:
         other = _load_ideal(data["other"], args.prime)
         if other.ring != ideal.ring:
@@ -195,7 +192,8 @@ def cmd_fatpoints(args):
     data = _load_json(args.input)
     if not isinstance(data, dict):
         raise CliError("point scheme must be a JSON object")
-    prime = args.prime or data.get("prime", DEFAULT_PRIME)
+    prime = (args.prime if args.prime is not None
+             else data.get("prime", DEFAULT_PRIME))
     try:
         ring = default_ring(prime)
     except (AlgebraError, TypeError) as exc:
@@ -204,8 +202,7 @@ def cmd_fatpoints(args):
         scheme = FatPointScheme.from_json(data, prime)
     except AlgebraError as exc:
         raise CliError("bad point scheme: %s" % exc)
-    report = _base_report(args, "fatpoints")
-    report["prime"] = prime
+    report = _base_report(args, "fatpoints", prime)
     report["input_degree"] = scheme.degree()
     if args.double_step:
         chain = theorem32_double_step(scheme, seed=args.seed, ring=ring)
@@ -227,10 +224,8 @@ def cmd_lift(args):
         lifted = lift_ideal(ideal)
     except AlgebraError as exc:
         raise CliError(str(exc))
-    ok, cert = verify_lifting(ideal, lifted, bound=args.bound,
-                              seed=args.seed)
-    report = _base_report(args, "lift")
-    report["prime"] = ideal.ring.prime
+    ok, cert = verify_lifting(ideal, lifted, seed=args.seed)
+    report = _base_report(args, "lift", ideal.ring.prime)
     report["certificate"] = cert
     report["verdict"] = "ok" if ok else "verification failed"
     _emit(report, args)
@@ -257,19 +252,11 @@ def cmd_embed(args):
         if witness.ring.prime != ext0.ring.prime:
             raise CliError("witness must use the prime of the ideal")
     _, _, step = embed_and_link(ideal, witness=witness, var=args.var)
-    report = _base_report(args, "embed")
-    report["prime"] = ideal.ring.prime
+    report = _base_report(args, "embed", ideal.ring.prime)
     report["step"] = step.to_json()
     report["verdict"] = "ok" if step.passed() else "verification failed"
     _emit(report, args)
     return EXIT_OK if step.passed() else EXIT_VERIFY
-
-
-def _nonnegative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be at least 0: %s" % text)
-    return value
 
 
 def build_parser():
@@ -304,8 +291,6 @@ def build_parser():
 
     p = sub.add_parser("lift", parents=[common], help="lift a monomial ideal and verify")
     p.add_argument("input")
-    p.add_argument("--bound", type=_nonnegative_int, default=None,
-                   help="degree bound for Hilbert-function comparisons")
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("embed", parents=[common], help="extend the ring and link off a witness")

@@ -77,34 +77,29 @@ def lift_ideal(ideal, var="t"):
     return Ideal(ring2, [lift_monomial(ring2, m, var) for m in monos])
 
 
-def verify_lifting(ideal, lifted=None, var="t", bound=None, seed=0):
+def verify_lifting(ideal, lifted=None, var="t", seed=0):
     """Full verification certificate for a lifted monomial ideal.
 
     Checks, in order: setting t = 0 recovers the input; t is regular
     modulo the lift (J : t = J); (J, t) equals (I S, t); the Hilbert
-    functions of S/(J, t) and R/I agree up to the bound; the lift is
-    Cohen-Macaulay exactly when the input is; and a one-dimensional lift
-    (points) is reduced, with as many points as the colength of an
-    Artinian input.  Hilbert data are read off Hilbert numerators: the
-    colength of an Artinian R/I is its degree, and the series
-    N(z)/(1-z)^(n+1) of S/(J, t) and N_I(z)/(1-z)^n of R/I agree up to
-    degree b exactly when N and (1-z)·N_I agree up to z^b, since
-    1/(1-z)^(n+1) is a unit power series.  The CM clause is derived, not
-    tested: with t regular on S/J and S/(J, t) = R/I, S/J has the depth
-    and dimension of R/I plus one, so S/J is CM exactly when R/I is.  So
-    the CM test runs on the input only, and "cm_lifted" repeats its answer
-    when the clause holds (None when it does not).  Returns (ok,
-    certificate dict).
+    functions of S/(J, t) and R/I agree; the lift is Cohen-Macaulay exactly
+    when the input is; and a one-dimensional lift (points) is reduced, with
+    as many points as the colength of an Artinian input.  Hilbert data are
+    read off Hilbert numerators: the colength of an Artinian R/I is its
+    degree, and the series N(z)/(1-z)^(n+1) of S/(J, t) and N_I(z)/(1-z)^n
+    of R/I agree in every degree exactly when N = (1-z)·N_I, compared
+    whole.  The CM clause is derived, not tested: with t regular on S/J
+    and S/(J, t) = R/I, S/J has the depth and dimension of R/I plus one,
+    so S/J is CM exactly when R/I is.  So the CM test runs on the input
+    only, and "cm_lifted" repeats its answer when the clause holds (None
+    when it does not).  Returns (ok, certificate dict).
     """
     if lifted is None:
         lifted = lift_ideal(ideal, var)
     ring = ideal.ring
     ext = lifted.ring
-    if bound is None:
-        bound = 2 * max([g.degree() for g in ideal.generators if g],
-                        default=1) + 4
     t = ext.parse(var)
-    cert = {"prime": ring.prime, "seed": seed, "bound": bound,
+    cert = {"prime": ring.prime, "seed": seed,
             "lifted_generators": [str(g) for g in lifted.generators]}
 
     back = lifted.contract_set_zero(var)
@@ -116,10 +111,10 @@ def verify_lifting(ideal, lifted=None, var="t", bound=None, seed=0):
     with_t = lifted + t_ideal
     cert["plus_t_matches"] = with_t == (ideal_ext + t_ideal)
 
-    mine = with_t.hilbert_numerator()[:bound + 1]
-    theirs = num_mul_one_minus_zd(ideal.hilbert_numerator(), 1)[:bound + 1]
+    theirs = num_mul_one_minus_zd(ideal.hilbert_numerator(), 1)
     cert["hilbert_matches"] = all(
-        a == b for a, b in zip_longest(mine, theirs, fillvalue=0))
+        a == b for a, b in zip_longest(with_t.hilbert_numerator(), theirs,
+                                       fillvalue=0))
 
     cm_in, _ = ideal.cm_test(seed=seed)
     derived = cert["t_regular"] and cert["plus_t_matches"]

@@ -73,9 +73,15 @@ CONFIG_ERRORS = {
                                         "monomials": [[-1, 2]]}),
     "fatpoints_prime_4": (["fatpoints", "--prime", "4"], POINT),
     "embed_var_taken": (["embed", "--var", "w"], GOOD),
+    # lift compares whole Hilbert numerators: --bound is no flag of any
+    # subcommand, so each of these is an unknown argument
+    "lift_bound": (["lift", "--bound", "3"],
+                   {"ring": {"vars": ["x", "y"]},
+                    "monomials": [[2, 0], [0, 2]]}),
     "lift_negative_bound": (["lift", "--bound", "-3"],
                             {"ring": {"vars": ["x", "y"]},
                              "monomials": [[2, 0], [0, 2]]}),
+    "hvector_bound": (["hvector", "--bound", "3"], GOOD),
     "generator_not_a_string": (["hvector"], {"ring": {"vars": ["x", "y"]},
                                              "generators": [5]}),
     "link_input_not_an_object": (["link"], 5),
@@ -85,6 +91,13 @@ CONFIG_ERRORS = {
     "coords_not_a_list": (["fatpoints"], {"points": [{"coords": "abcd"}]}),
     "mult_not_a_number": (["fatpoints"], {"points": [
         {"coords": [1, 0, 0, 0], "mult": "two"}]}),
+    "mult_not_an_integer": (["fatpoints"], {"points": [
+        {"coords": [1, 0, 0, 0], "mult": 2.9}]}),
+    "mult_true": (["fatpoints"], {"points": [
+        {"coords": [1, 0, 0, 0], "mult": True}]}),
+    "coords_true": (["fatpoints"], {"points": [
+        {"coords": [True, 0, 0, 0], "mult": 2}]}),
+    "fatpoints_prime_0": (["fatpoints", "--prime", "0"], POINT),
     "witness_over_another_prime": (["embed"], {
         "ideal": GOOD,
         "witness": ideal_obj("xyzwt", ["x^2 + y*z", "x*y*z + w^3"], 101)}),
@@ -93,8 +106,6 @@ CONFIG_ERRORS = {
     "double_step_prime_not_an_int": (["fatpoints", "--double-step"], {
         "prime": 7.0, "points": [{"coords": [1, 0, 0, 0], "mult": 2},
                                  {"coords": [0, 1, 0, 0], "mult": 1}]}),
-    # only lift compares Hilbert functions up to a bound
-    "hvector_bound": (["hvector", "--bound", "3"], GOOD),
     "link_other_over_other_variables": (["link"], {
         "ideal": GOOD, "f": "w", "other": ideal_obj("xyz", ["x", "y"])}),
     "link_linking_over_another_ring": (["link"], {
@@ -242,7 +253,7 @@ DIGEST_CASES = {
                    "monomials": [[2, 0, 0], [0, 3, 0], [0, 0, 2],
                                  [1, 1, 1]]},
         EXIT_OK,
-        "d6b0cf43a297befecce53383ce7feababd4d08e390bf01bc755eebddab318aa6"),
+        "a8369177406015936ab374fa5aa8b781e3165a5a01ba2c97ecdfced76e741393"),
     "hvector": (
         ["hvector"], ideal_obj("xyzw", ["x^2 + y*z", "x*y*z + w^3"]),
         EXIT_OK,
@@ -253,26 +264,26 @@ DIGEST_CASES = {
     "fatpoints_2": (
         ["fatpoints"], {"points": [{"coords": [1, 0, 0, 0], "mult": 2}]},
         EXIT_OK,
-        "16f688105efedfe752bb83fd5c0ef56a882265431a25fc10427b73ea3dd9c818"),
+        "9f0b0b6d751918a3b0c7f81c50729dbeaabea52562c6d76bf8bb388a411b0b31"),
     "fatpoints_double_2_1": (
         ["fatpoints", "--double-step"],
         {"points": [{"coords": [1, 0, 0, 0], "mult": 2},
                     {"coords": [0, 1, 0, 0], "mult": 1}]},
         EXIT_OK,
-        "50afd67e573d9377d96a7f1e0977c4c8e998ec822e597859c4d9d2d02279acc4"),
+        "ad7094b992eaf6eea584830a5aa10af4e8350be1ecf97a594f93550ef98cbfc5"),
     "fatpoints_double_3_1": (
         ["fatpoints", "--double-step"],
         {"points": [{"coords": [1, 0, 0, 0], "mult": 3},
                     {"coords": [0, 1, 0, 0], "mult": 1}]},
         EXIT_OK,
-        "19b329726813bf47937198aa0bb1cdb89a2d5657d053cdad49a6e1f3a0fc0602"),
+        "dcb946b0961f6e0f2881ebf47f6b3b645a499e84bd9a5c43fad4bd079ee7475b"),
     # three redraw rounds in the second link: pins the redraw order
     "fatpoints_double_2_2": (
         ["fatpoints", "--double-step"],
         {"points": [{"coords": [1, 0, 0, 0], "mult": 2},
                     {"coords": [0, 1, 0, 0], "mult": 2}]},
         EXIT_OK,
-        "cabf341e99e778a6ee3e3330b09e3d76625a0989d3fe3659418c155c83761474"),
+        "a3a09e4568a9f310127a5be11b9910ba56e301299ce51f6240023bb0388fda49"),
 }
 
 

@@ -18,6 +18,7 @@ from liaison.fatpoints import (MAX_REDRAW_ROUNDS, ROLES, FatPointScheme,
                                single_fatpoint_link_step,
                                theorem32_double_step)
 from liaison.ideals import GenericityError, Ideal, normalize_point
+from liaison.links import LinkChainReport
 from liaison.rings import AlgebraError, PolyRing
 
 from .oracles import line_rows, sweep_crossings
@@ -192,6 +193,54 @@ def test_double_step_redraws_are_recorded():
     assert rk and all(second["local_degrees"][k] == 1 for k in rk)
     kept = {str(pt) for pt, _ in report.result.points}
     assert not kept & set(rk)
+
+
+def test_double_step_colons_only_where_z_has_a_component(monkeypatch):
+    colons = []
+    quotient = Ideal.quotient
+
+    def counted(ideal, by):
+        colons.append(by)
+        return quotient(ideal, by)
+
+    monkeypatch.setattr(Ideal, "quotient", counted)
+    scheme = FatPointScheme(((ORIGIN, 2), (OTHER, 1)))
+    report = theorem32_double_step(scheme, seed=0)
+    assert report.ok()
+    # the first link's colons at the focus and at [0:1:0:0], and the
+    # second link's at the focus; Gor' and Z' are the reduced point at
+    # each of the 14 R_k, and Z' has no component at [0:1:0:0]
+    assert len(colons) == 3
+
+
+# Z at the focus of the seed-0 (2, 1) first link: a subscheme of Gor, the
+# scheme the double step links, or one that Gor does not contain
+FIRST_LINK_FOCUS = [
+    (1, {"scheme_inside_Gor": True, "additivity_at_[1:0:0:0]": True}),
+    (2, {"scheme_inside_Gor": True, "additivity_at_[1:0:0:0]": True}),
+    (3, {"scheme_inside_Gor": False, "additivity_at_[1:0:0:0]": False}),
+]
+
+
+@pytest.mark.parametrize("power,expected", FIRST_LINK_FOCUS)
+def test_first_link_checks_see_the_focus_piece(monkeypatch, power, expected):
+    calls = []
+    tracked_link = fatpoints._tracked_link
+
+    def recording(*args):
+        calls.append(args)
+        return tracked_link(*args)
+
+    monkeypatch.setattr(fatpoints, "_tracked_link", recording)
+    theorem32_double_step(FatPointScheme(((ORIGIN, 2), (OTHER, 1))), seed=0)
+    ring, focus, sel, fat_forms, aux, z_local, _, stage = calls[0]
+    z_local = {**z_local, focus.coords: fat_point_ideal(ring, focus, power)}
+    report = LinkChainReport()
+    tracked_link(ring, focus, sel, fat_forms, aux, z_local, report, stage)
+    checks = {k: v for step in report.steps for k, v in step.checks.items()}
+    assert {k: checks[k] for k in expected} == expected
+    # the other checks of the link do not read Z
+    assert all(v for k, v in checks.items() if k not in expected)
 
 
 def test_double_step_budget_fails_before_drawing(monkeypatch):

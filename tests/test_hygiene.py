@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package or of the tests imports a name
 it never uses, no function of the package assigns a name it never reads,
-no module of the package keeps mutable state outside a call, and one
-method of the package computes Groebner bases.  No linter is a
-dependency, so these scans are the check."""
+no module of the package keeps mutable state outside a call, one method
+of the package computes Groebner bases, and no certificate check of the
+package is false by no input.  No linter is a dependency, so these scans
+are the check."""
 
 import ast
 from pathlib import Path
@@ -260,3 +261,109 @@ def test_one_method_computes_bases():
              if scope != "Ideal._basis_with_last"]
     assert not found, "buchberger outside Ideal._basis_with_last:\n" + (
         "\n".join(found))
+
+
+def checks_that_cannot_fail(source):
+    """(line, fault, key) of every certificate check that no input can make
+    false, as far as its function's source shows.
+
+    A check is an entry of a dict passed as `checks=` to `LinkStep`: of a
+    dict display there, or of a name (or a `dict(name)` copy) passed
+    there, whose entries are the dict displays assigned to the name and
+    the subscript assignments into it in the same function.  A check is
+    at fault when its value is a constant, when its value expression is
+    that of an earlier key of the same dict, or when the function tests
+    it as `if not <dict>[key]: raise`.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        groups, named = [], {}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", None))
+                    == "LinkStep"):
+                for kw in node.keywords:
+                    if kw.arg != "checks":
+                        continue
+                    value = kw.value
+                    if (isinstance(value, ast.Call)
+                            and getattr(value.func, "id", None) == "dict"
+                            and len(value.args) == 1):
+                        value = value.args[0]
+                    if isinstance(value, ast.Dict):
+                        groups.append((None, list(zip(value.keys,
+                                                      value.values))))
+                    elif isinstance(value, ast.Name):
+                        named.setdefault(value.id, [])
+        guarded = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if (isinstance(target, ast.Name) and target.id in named
+                            and isinstance(node.value, ast.Dict)):
+                        named[target.id].extend(zip(node.value.keys,
+                                                    node.value.values))
+                    elif (isinstance(target, ast.Subscript)
+                          and isinstance(target.value, ast.Name)
+                          and target.value.id in named):
+                        named[target.value.id].append((target.slice,
+                                                       node.value))
+            elif (isinstance(node, ast.If)
+                  and isinstance(node.test, ast.UnaryOp)
+                  and isinstance(node.test.op, ast.Not)
+                  and isinstance(node.test.operand, ast.Subscript)
+                  and isinstance(node.test.operand.value, ast.Name)
+                  and any(isinstance(s, ast.Raise) for s in node.body)):
+                guarded.add((node.test.operand.value.id,
+                             ast.dump(node.test.operand.slice)))
+        groups += list(named.items())
+        for name, entries in groups:
+            seen = {}
+            for key, value in entries:
+                if key is None:         # a ** spread
+                    continue
+                label = ast.unparse(key)
+                if isinstance(value, ast.Constant):
+                    found.append((value.lineno, "constant", label))
+                expr = ast.dump(value)
+                if expr in seen:
+                    found.append((value.lineno, "same as %s" % seen[expr],
+                                  label))
+                seen.setdefault(expr, label)
+                if (name, ast.dump(key)) in guarded:
+                    found.append((key.lineno, "guarded by a raise", label))
+    return sorted(found)
+
+
+def test_scan_finds_checks_that_cannot_fail():
+    source = ("def f(report, x):\n"
+              "    report.add(LinkStep(kind='a', checks={'lit': True,\n"
+              "                                          'ok': x > 0}))\n"
+              "    checks = {'one': not x, 'guard': x == 1}\n"
+              "    if not checks['guard']:\n"
+              "        raise ValueError(x)\n"
+              "    checks['two'] = not x\n"
+              "    for k in x:\n"
+              "        checks['at_%s' % k] = k > 0\n"
+              "    other = {'free': True}\n"
+              "    other['also'] = not x\n"
+              "    return links.LinkStep(kind='b', checks=dict(checks)), other\n"
+              "def g(x):\n"
+              "    checks = {'guard': True}\n"
+              "    return checks['guard'] or x\n")
+    assert checks_that_cannot_fail(source) == [
+        (2, "constant", "'lit'"), (4, "guarded by a raise", "'guard'"),
+        (7, "same as 'one'", "'two'")]
+
+
+def test_certificate_checks_can_fail():
+    # a check that no input makes false tells the reader of a report
+    # nothing; delete it, or keep the guard that raises instead
+    found = ["%s:%d: %s %s" % (path.relative_to(ROOT), line, key, fault)
+             for path in PACKAGE
+             for line, fault, key in checks_that_cannot_fail(
+                 path.read_text())]
+    assert not found, "checks that cannot fail:\n" + "\n".join(found)
