@@ -4,7 +4,10 @@ Works on the dict representation from :mod:`liaison.rings`.  A basis
 element, for Buchberger and for every reducer, has one form: the pair
 (leading monomial, monic tail dict), split once when the element joins.
 An S-polynomial then multiplies only the two tails, and a normal form
-reads each divisor's leading monomial off the pair.
+reads each divisor's leading monomial off the pair.  Splits and the
+reduction heap find the largest monomial as the one of least
+`degrevlex_rank`; the order key sorts only the pair queue and the
+ascending sorts of basis elements.
 
 Pairs are pruned only where they are made, when an element joins: old
 pairs by the chain criterion (Gebauer and Moeller, J. Symbolic Comput. 6,
@@ -46,6 +49,7 @@ from operator import le
 from .rings import (
     AlgebraError,
     Polynomial,
+    degrevlex_rank,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -172,7 +176,7 @@ def hilbert_function_from_numerator(numerator, nvars, d):
 
 def _split(d, ring):
     """The basis element of a nonzero dict: (leading monomial, monic tail)."""
-    lt = max(d, key=ring.order.key)
+    lt = min(d, key=degrevlex_rank)
     inv = ring.field.inv(d[lt])
     p = ring.prime
     return lt, {m: (c * inv) % p for m, c in d.items() if m != lt}
@@ -184,11 +188,11 @@ def _reduce_dict(f, basis, ring):
     Deterministic: always reduces the largest reducible monomial, by the
     first listed divisor.  Returns a new dict.
     """
-    key = ring.order.key
     p = ring.prime
     work = dict(f)
-    # heap of (negated order key, monomial); lazy deletion
-    heap = [(_neg_key(key(m)), m) for m in work]
+    # heap of (degrevlex rank, monomial), largest monomial on top; lazy
+    # deletion
+    heap = [(degrevlex_rank(m), m) for m in work]
     heapq.heapify(heap)
     out = {}
     while heap:
@@ -208,16 +212,11 @@ def _reduce_dict(f, basis, ring):
             s = (work.get(t, 0) - c * cc) % p
             if s:
                 if t not in work:
-                    heapq.heappush(heap, (_neg_key(key(t)), t))
+                    heapq.heappush(heap, (degrevlex_rank(t), t))
                 work[t] = s
             elif t in work:
                 del work[t]
     return out
-
-
-def _neg_key(k):
-    """Negate an order key so the min-heap pops the largest monomial first."""
-    return tuple(-x if isinstance(x, int) else tuple(-y for y in x) for x in k)
 
 
 def normal_form(f, reducers):

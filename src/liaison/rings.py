@@ -4,6 +4,11 @@ Monomials are plain exponent tuples; polynomials are immutable wrappers
 around a dict mapping exponent tuples to nonzero residues mod p.  All
 heavier machinery (division, Groebner bases) lives in :mod:`liaison.groebner`
 and works on the same dict representation.
+
+Degrevlex is the one monomial order, and the kernel encodes it once, as
+`degrevlex_rank`: leading monomials, sorted terms and the reduction heap
+take the monomial of least rank.  `MonomialOrder.key`, its negation,
+orders only Buchberger's pair queue and its ascending sorts.
 """
 
 from __future__ import annotations
@@ -25,16 +30,36 @@ class ParseError(AlgebraError):
     pass
 
 
+# Miller-Rabin to the twelve prime bases 2..37 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n):
+    """Deterministic primality for n below 3.3e24; AlgebraError above."""
+    if n >= _PRIME_TEST_LIMIT:
+        raise AlgebraError("%d is too large to test for primality" % n)
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    # n - 1 = d * 2^s with d odd
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -125,9 +150,19 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def degrevlex_rank(m):
+    """Degrevlex rank of a monomial: the smaller the rank, the larger the
+    monomial.  Higher degree first; in one degree, the smaller exponent of
+    the last variable, then of the one before.  The reduction kernel finds
+    leading monomials and pops its heap by this rank."""
+    return (-sum(m), m[::-1])
+
+
 class MonomialOrder:
     """Degree reverse lexicographic order on exponent tuples, the one
-    monomial order of the package."""
+    monomial order of the package.  Its key orders Buchberger's pair
+    queue and the ascending sorts of basis elements; everything else
+    ranks monomials by `degrevlex_rank`."""
 
     def key(self, m):
         """Sort key; larger key = larger monomial."""
@@ -369,16 +404,16 @@ class Polynomial:
     def sorted_terms(self):
         """Terms as (monomial, coeff), strictly descending in the ring order."""
         if self._sorted is None:
-            key = self.ring.order.key
+            # distinct monomials have distinct ranks
             self._sorted = sorted(self.terms.items(),
-                                  key=lambda t: key(t[0]), reverse=True)
+                                  key=lambda t: degrevlex_rank(t[0]))
         return self._sorted
 
     def leading_monomial(self):
         if not self.terms:
             raise AlgebraError("zero polynomial has no leading term")
         if self._lead is None:
-            self._lead = max(self.terms, key=self.ring.order.key)
+            self._lead = min(self.terms, key=degrevlex_rank)
         return self._lead
 
     def leading_coeff(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -64,6 +65,9 @@ GOOD = ideal_obj("xyzw", ["x^2 + y*z", "x*y*z + w^3"])
 POINT = {"points": [{"coords": [1, 0, 0, 0], "mult": 2}]}
 CONFIG_ERRORS = {
     "hvector_prime_4": (["hvector", "--prime", "4"], GOOD),
+    # past the range where the primality test is exact
+    "hvector_prime_huge_composite": (
+        ["hvector", "--prime", str((2 ** 31 - 1) * (2 ** 61 - 1))], GOOD),
     "ring_without_vars": (["hvector"], {"ring": {"prime": 32003},
                                         "generators": ["x"]}),
     "duplicate_vars": (["hvector"], ideal_obj("xyx", ["x*y"])),
@@ -124,6 +128,16 @@ def test_configuration_error_exit_code(tmp_path, capsys, name):
     assert main(argv) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err and "Traceback" not in err
+
+
+def test_hvector_over_a_large_prime(ci_file, capsys):
+    # trial division would take about 10^9 steps to prove 2^61 - 1 prime
+    prime = 2 ** 61 - 1
+    start = time.perf_counter()
+    assert main(["hvector", ci_file, "--prime", str(prime)]) == EXIT_OK
+    assert time.perf_counter() - start < 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["prime"] == prime and out["h_vector"] == [1, 2, 2, 1]
 
 
 def test_lemma_identity_link(tmp_path, capsys):

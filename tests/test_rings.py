@@ -1,11 +1,14 @@
 """Kernel tests: field, monomials, orders, polynomial arithmetic."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from liaison.rings import (_EXP_LIMIT, DEGREVLEX, AlgebraError, PolyRing,
-                           PrimeField, mono_divides, mono_div, mono_mul)
+from liaison import groebner
+from liaison.rings import (_EXP_LIMIT, DEGREVLEX, AlgebraError,
+                           MonomialOrder, PolyRing, PrimeField,
+                           degrevlex_rank, is_prime, mono_divides, mono_div,
+                           mono_mul)
 
 from .oracles import substitute_termwise
 
@@ -62,6 +65,61 @@ def test_degrevlex_classic_order():
     key = DEGREVLEX.key
     assert key((1, 0, 0)) > key((0, 1, 0)) > key((0, 0, 1))
     assert key((0, 2, 0)) > key((1, 0, 1))
+
+
+@st.composite
+def monomial_lists(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    mono = st.tuples(*[st.integers(min_value=0, max_value=4)] * n)
+    return draw(st.lists(mono, min_size=1, max_size=12, unique=True))
+
+
+@seed(22)
+@settings(max_examples=200)
+@given(monos=monomial_lists())
+def test_rank_orders_as_the_key_reversed(monos):
+    key = DEGREVLEX.key
+    assert min(monos, key=degrevlex_rank) == max(monos, key=key)
+    assert (sorted(monos, key=degrevlex_rank)
+            == sorted(monos, key=key, reverse=True))
+
+
+def test_kernel_finds_leading_monomials_without_the_order_key(monkeypatch):
+    ring = PolyRing(("x", "y", "z"), P)
+    gens = [ring.parse("x*y - z^2"), ring.parse("y^2 - x*z")]
+
+    def refuse(self, m):
+        raise AssertionError("the order key was called")
+
+    monkeypatch.setattr(MonomialOrder, "key", refuse)
+    f = ring.parse("x*z^2 + y^3 + x^2*y + z")
+    assert f.leading_monomial() == (2, 1, 0)
+    assert str(f) == "x^2*y + y^3 + x*z^2 + z"
+    # x^2*y -> x*z^2, y^3 -> x*y*z -> z^3, and x*z^2 + x*z^2 = 2*x*z^2
+    assert str(groebner.reducer(gens, ring)(f)) == "2*x*z^2 + z^3 + z"
+
+
+# -- primes ------------------------------------------------------------------
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20000) if is_prime(n)] == [
+        n for n in range(20000) if trial_division_is_prime(n)]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_mersenne_primes():
+    # the least strong pseudoprimes to every prime base up to 7, 13 and 23
+    for n in (3215031751, 3474749660383, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(2 ** 31 - 1) and is_prime(2 ** 61 - 1)
+
+
+def test_is_prime_refuses_numbers_past_its_exact_range():
+    with pytest.raises(AlgebraError):
+        is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
 
 
 # -- polynomials -------------------------------------------------------------
