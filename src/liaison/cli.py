@@ -202,6 +202,9 @@ def cmd_fatpoints(args):
         scheme = FatPointScheme.from_json(data, prime)
     except AlgebraError as exc:
         raise CliError("bad point scheme: %s" % exc)
+    if args.double_step and not (scheme.points and scheme.points[0][1] >= 2):
+        raise CliError("--double-step needs a first point of multiplicity "
+                       ">= 2")
     report = _base_report(args, "fatpoints", prime)
     report["input_degree"] = scheme.degree()
     if args.double_step:

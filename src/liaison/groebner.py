@@ -123,6 +123,14 @@ def strip_one_minus_z(num):
     return k, num
 
 
+def same_hilbert_polynomial(a, b, nvars):
+    """True when a(z)/(1-z)^nvars and b(z)/(1-z)^nvars differ by a
+    polynomial, that is when (1-z)^nvars divides a - b: the two Hilbert
+    functions then agree in high degrees."""
+    k, _ = strip_one_minus_z(num_add(a, [-c for c in b]))
+    return k is None or k >= nvars
+
+
 def monomial_hilbert_numerator(gens, nvars):
     """Numerator N(z) with Series = N(z)/(1-z)^nvars, as an int list."""
     gens = minimalize(tuple(g) for g in gens)

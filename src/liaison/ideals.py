@@ -2,7 +2,9 @@
 
 Ideals are immutable; their degrevlex Groebner bases, one per linear form
 taken last, and the numeric invariants derived from them are kept once
-computed.  All ideals handed to users are homogeneous; dehomogenized
+computed.  The saturation and the affine charts of the reducedness test
+are one routine, a colon by the first chart form that keeps the Hilbert
+polynomial.  All ideals handed to users are homogeneous; dehomogenized
 (affine) computations happen internally only.
 """
 
@@ -14,7 +16,7 @@ import random
 from . import modp
 from .groebner import (buchberger, interreduce, monomial_hilbert_numerator,
                        num_add, num_mul_one_minus_zd, num_shift, reducer,
-                       strip_one_minus_z)
+                       same_hilbert_polynomial, strip_one_minus_z)
 from .rings import (AlgebraError, RingMismatchError, Polynomial, mono_div,
                     mono_divides)
 
@@ -36,12 +38,13 @@ class Ideal:
     in two more variables (`intersect`), as its own.  For ell
     regular on R/I and I ⊆ J, in(I + ell·J) = in(I) + ell·in(J) with ell
     last (Bayer-Stillman), so I + ell·J enters the entry of I and ell times
-    that of J, interreduced (`plus_regular_multiple`).  Any entry fixes the
-    Hilbert numerator, since a linear change of coordinates keeps the
-    Hilbert function, so every later basis is Hilbert-driven; a caller that
-    knows the numerator may pass it.  A first basis with no numerator known
-    is driven by the lower bound prod (1 - z^deg g) when there are at most
-    nvars generators g, and has no hint otherwise.  Every yes/no answer is
+    that of J, interreduced (`plus_regular_multiple`).  I^sat is the colon
+    by one chart form, checked by the numerators (`_chart`).  Any entry
+    fixes the Hilbert numerator, since a linear change of coordinates keeps
+    the Hilbert function, so every later basis is Hilbert-driven; a caller
+    that knows the numerator may pass it.  A first basis with no numerator
+    known is driven by the lower bound prod (1 - z^deg g) when there are at
+    most nvars generators g, and has no hint otherwise.  Every yes/no answer is
     exact: zero and unit from the generators (`is_unit`), membership from
     the generators made, else from any entry (`contains`), equality from an
     entry both sides hold, else from one containment and the Hilbert
@@ -117,8 +120,6 @@ class Ideal:
         coordinates of an entry is a ring automorphism, so f lies in I
         exactly when its image reduces to zero.
         """
-        if isinstance(f, str):
-            f = self.ring.parse(f)
         if f.ring != self.ring:
             raise RingMismatchError("membership test across rings")
         if not f:
@@ -281,8 +282,6 @@ class Ideal:
         zero.  Linear generators go first: the basis their colon computes
         then answers the membership tests of the others.
         """
-        if isinstance(by, str):
-            by = self.ring.parse(by)
         if isinstance(by, Polynomial):
             return self._quotient_poly(by)
         by = self._coerce(by)
@@ -305,35 +304,30 @@ class Ideal:
         gens = [_exact_div(g, f) for g in meet.groebner_basis()]
         return Ideal(self.ring, gens)
 
-    def saturate(self, by):
-        """I : by^infinity for a linear form or an ideal of linear forms.
+    def saturate(self):
+        """I^sat = I : m^infinity, one linear colon (`_chart`); raises
+        GenericityError when every chart form lies on a component."""
+        return self._chart(0)[1]
 
-        By J = (l_1, ..., l_r), it intersects the I : l_i^infinity
-        (`_colon_linear`), and it is I as soon as one l_i strips nothing:
-        that l_i is a nonzerodivisor on R/I, so no associated prime
-        contains J.  The last variable goes first, on the ring's own basis.
+    def _chart(self, seed):
+        """(coefficients of ell, I : ell^infinity) for the first chart form
+        ell (`_chart_forms`) with I : ell^infinity = I^sat.
+
+        J = I : ell^infinity (`_colon_linear`) holds I^sat, and it is
+        saturated: J : m lies in J : ell = J.  Two saturated ideals, one
+        inside the other, are equal exactly when they agree in high degrees,
+        so J = I^sat exactly when R/J has the Hilbert polynomial of R/I,
+        read off the numerators of both entries.  A form fails exactly when
+        it lies in an associated prime of I^sat.
         """
-        if isinstance(by, str):
-            by = self.ring.parse(by)
-        forms = [by] if isinstance(by, Polynomial) else list(
-            self._coerce(by).generators)
-        for f in forms:
-            if f.ring != self.ring:
-                raise RingMismatchError("saturation across rings")
-            if f.degree() != 1 or not f.is_homogeneous():
-                raise AlgebraError(
-                    "saturate needs a linear form or an ideal of linear "
-                    "forms, got %s" % f)
-        # a multiple of the last variable first: it needs no new basis
-        last = self.ring.nvars - 1
-        forms.sort(key=lambda f: any(m[last] == 0 for m in f.terms))
-        out = None
-        for f in forms:
-            sat = self._colon_linear(f, math.inf)
-            if sat is self:
-                return self
-            out = sat if out is None else out.intersect(sat)
-        return _unit_ideal(self.ring) if out is None else out
+        for coeffs in _chart_forms(self.ring, seed):
+            sat = self._colon_linear(self.ring.linear_form(coeffs), math.inf)
+            if sat is self or same_hilbert_polynomial(
+                    self.hilbert_numerator(), sat.hilbert_numerator(),
+                    self.ring.nvars):
+                return coeffs, sat
+        raise GenericityError("every chart form lies in an associated prime "
+                              "of the saturation")
 
     def _colon_linear(self, ell, cap):
         """I : ell^cap for a linear form ell and cap = 1 or math.inf.
@@ -454,7 +448,7 @@ class Ideal:
         return Ideal(self.ring, self.ring.gens())
 
     def saturate_irrelevant(self):
-        return self.saturate(self.irrelevant_ideal())
+        return self.saturate()
 
     # -- Hilbert data --------------------------------------------------------
 
@@ -495,8 +489,6 @@ class Ideal:
     # -- regularity / CM / reducedness ---------------------------------------
 
     def is_regular_element(self, f):
-        if isinstance(f, str):
-            f = self.ring.parse(f)
         if not f:
             return False
         return self.quotient(f) == self
@@ -548,32 +540,19 @@ class Ideal:
     def _affine_algebra(self, seed):
         """The affine algebra of dim(R/I) = 1 on a chart holding every point.
 
-        Tries the chart x_n = 1 of the ring's last variable, then seeded
-        random charts ell = 1 (`_chart_forms`).  In coordinates where ell
-        is the last variable x, the degrevlex basis of I, each element
-        divided by the largest power of x dividing it, is a Groebner basis
-        of I : x^infinity in which no leading term involves x
-        (Bayer-Stillman; see `_colon_linear`).  So setting x = 1 in it,
-        which is setting x = 1 in the basis of I, gives a Groebner basis of
-        the affine ideal.  For the chart x_n = 1 that basis is the ring's
-        own, reduced when x_n is a nonzerodivisor.  A chart is taken when
-        its algebra has dimension deg(I), that is when no point lies on
-        ell = 0.  That dimension is read off the leading terms: in the
-        n - 1 affine variables their numerator is (1-z)^(n-1)·M exactly
-        when the algebra is finite, and then M(1) is its dimension.
+        The chart ell = 1 is the first whose colon I : ell^infinity is I^sat
+        (`_chart`), that is the first with no point on ell = 0.  In
+        coordinates where ell is the last variable x, that colon's entry is
+        a reduced degrevlex basis in which no leading term involves x
+        (Bayer-Stillman; see `_colon_linear`), so setting x = 1 in it gives
+        a Groebner basis of the affine ideal.
 
         Returns (affine ring, GB).
         """
-        deg = self.degree()
-        for coeffs in _chart_forms(self.ring, seed):
-            work, _, gb = self._basis_with_last(coeffs)
-            aff = work.drop(work.variables[-1])
-            gb = [_dehomogenize(g, aff) for g in gb]
-            k, m = strip_one_minus_z(monomial_hilbert_numerator(
-                [g.leading_monomial() for g in gb], aff.nvars))
-            if k == aff.nvars and sum(m) == deg:
-                return aff, gb
-        raise GenericityError("no chart holds all %d points" % deg)
+        coeffs, sat = self._chart(seed)
+        work, _, gb = sat._basis_with_last(coeffs)
+        aff = work.drop(work.variables[-1])
+        return aff, [_dehomogenize(g, aff) for g in gb]
 
     def is_reduced_zero_dim(self, seed=0):
         """Radical test for zero-dimensional subschemes of projective space.
@@ -678,7 +657,7 @@ def _dehomogenize(g, aff):
 
 
 def _chart_forms(ring, seed):
-    """Coefficients of the chart forms `_affine_algebra` tries: the last
+    """Coefficients of the chart forms `_chart` tries: the last
     variable, then six seeded random forms with last coefficient 1."""
     yield _last_key(ring)
     rng = random.Random("deh:%d" % seed)

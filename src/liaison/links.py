@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .groebner import num_add, same_hilbert_polynomial
 from .ideals import GenericityError, Ideal
 from .rings import AlgebraError, RingMismatchError
 
@@ -80,18 +81,25 @@ def ci_link(c_ideal, ideal):
 
 
 def is_geometric_link(c_ideal, ideal, residual):
-    """True when the link c: I is geometric: I and J share no component.
+    """True when the link c : I is geometric: I and J share no component.
 
     Tested by the saturated-intersection criterion c^sat = (I ∩ J)^sat
-    together with I + J cutting strictly larger codimension.
+    together with I + J cutting strictly larger codimension, with no
+    intersection or saturation built.  When c lies in I and in J, c^sat
+    lies in (I ∩ J)^sat, and the two are equal exactly when R/c and
+    R/(I ∩ J) have one Hilbert polynomial; 0 -> R/(I ∩ J) -> R/I ⊕ R/J ->
+    R/(I + J) -> 0 makes N(I) + N(J) - N(I + J) the numerator of R/(I ∩ J).
     """
-    meet = ideal.intersect(residual)
-    if meet.saturate_irrelevant() != c_ideal.saturate_irrelevant():
+    if not (ideal.contains_ideal(c_ideal)
+            and residual.contains_ideal(c_ideal)):
         return False
     top = ideal + residual
-    if top.is_unit():
-        return True
-    return top.codim() > ideal.codim()
+    meet = num_add(ideal.hilbert_numerator(), num_add(
+        residual.hilbert_numerator(), [-c for c in top.hilbert_numerator()]))
+    if not same_hilbert_polynomial(meet, c_ideal.hilbert_numerator(),
+                                   ideal.ring.nvars):
+        return False
+    return top.is_unit() or top.codim() > ideal.codim()
 
 
 def link_involution_check(c_ideal, ideal):

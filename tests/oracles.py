@@ -9,7 +9,9 @@ degrees, Hilbert numerators and the dimension of an affine algebra by
 counting standard monomials, sympy as an external basis oracle,
 intersections by sympy's lex elimination basis, instead of a colon in two
 more variables, quotients through an intersection, saturation as an iterated
-quotient, instead of one stripped Groebner basis, the affine chart of a
+quotient, instead of one stripped Groebner basis, the geometric test of a
+link by saturating I meet J and c, instead of comparing Hilbert
+polynomials of numerators, the affine chart of a
 scheme by Buchberger on the dehomogenized generators, instead of the
 dehomogenized projective basis, and reducedness by the characteristic
 polynomial of a random multiplier, instead of the minimal polynomials of
@@ -360,6 +362,18 @@ def saturate_by_quotients(ideal, by):
         if nxt == current:
             return current
         current = nxt
+
+
+def geometric_link_by_saturation(c_ideal, ideal, residual):
+    """The geometric-link criterion built literally: c^sat = (I meet J)^sat,
+    both saturations iterated quotients by m, and I + J of codimension
+    above that of I."""
+    m = ideal.irrelevant_ideal()
+    meet = ideal.intersect(residual)
+    if saturate_by_quotients(meet, m) != saturate_by_quotients(c_ideal, m):
+        return False
+    top = ideal + residual
+    return top.is_unit() or top.codim() > ideal.codim()
 
 
 def affine_basis_by_dehomogenizing(ideal, coeffs):

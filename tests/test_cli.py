@@ -110,6 +110,11 @@ CONFIG_ERRORS = {
     "double_step_prime_not_an_int": (["fatpoints", "--double-step"], {
         "prime": 7.0, "points": [{"coords": [1, 0, 0, 0], "mult": 2},
                                  {"coords": [0, 1, 0, 0], "mult": 1}]}),
+    # nothing to step: no point, or a reduced first point
+    "double_step_no_points": (["fatpoints", "--double-step"], {"points": []}),
+    "double_step_reduced_first_point": (["fatpoints", "--double-step"], {
+        "points": [{"coords": [1, 0, 0, 0], "mult": 1},
+                   {"coords": [0, 1, 0, 0], "mult": 2}]}),
     "link_other_over_other_variables": (["link"], {
         "ideal": GOOD, "f": "w", "other": ideal_obj("xyz", ["x", "y"])}),
     "link_linking_over_another_ring": (["link"], {
@@ -128,6 +133,14 @@ def test_configuration_error_exit_code(tmp_path, capsys, name):
     assert main(argv) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["double_step_no_points",
+                                  "double_step_reduced_first_point"])
+def test_scheme_refused_by_the_double_step_reduces_without_it(tmp_path,
+                                                               name):
+    _, obj = CONFIG_ERRORS[name]
+    assert main(["fatpoints", write(tmp_path, "input.json", obj)]) == EXIT_OK
 
 
 def test_hvector_over_a_large_prime(ci_file, capsys):

@@ -73,7 +73,7 @@ def test_quotient_by_comaximal_is_identity():
 
 def test_saturate_removes_embedded_power():
     # (x^2, x*y) = (x) meet (x^2, y): saturating by y leaves the line
-    assert I3("x^2", "x*y").saturate(R3.parse("y")) == I3("x")
+    assert I3("x^2", "x*y")._colon_linear(R3.parse("y"), math.inf) == I3("x")
 
 
 def test_saturate_irrelevant_removes_irrelevant_component():
@@ -102,10 +102,10 @@ def _counting_buchberger(monkeypatch):
 
 def test_saturate_when_no_variable_is_a_nonzerodivisor():
     # {[1:0:0:0], [0:1:0:0]} times m: every variable lies in an associated
-    # prime, so the saturation intersects the saturations by each variable
+    # prime, so the saturation is the colon by a random chart form
     points = I4("x1", "x2", "x3").intersect(I4("x0", "x2", "x3"))
     ideal = points * points.irrelevant_ideal()
-    assert all(ideal.saturate(v) != ideal for v in R4.gens())
+    assert all(ideal._colon_linear(v, math.inf) != ideal for v in R4.gens())
     sat = ideal.saturate_irrelevant()
     assert sat == points
     assert sat == saturate_by_quotients(ideal, ideal.irrelevant_ideal())
@@ -117,16 +117,39 @@ def test_saturating_a_saturated_ideal_reuses_its_basis(monkeypatch):
     calls = _counting_buchberger(monkeypatch)
     cubic = I4("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")
     assert cubic.saturate_irrelevant() is cubic
-    assert cubic.saturate(R4.parse("x3")) is cubic
+    assert cubic._colon_linear(R4.parse("x3"), math.inf) is cubic
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("by", ["x^2", "1", "x*y + z^2"])
-def test_saturate_rejects_nonlinear_forms(by):
-    with pytest.raises(AlgebraError):
-        I3("x*y").saturate(R3.parse(by))
-    with pytest.raises(AlgebraError):
-        I3("x*y").saturate(I3("x", by))
+def test_saturation_is_one_colon_with_no_intersection(monkeypatch):
+    # {[1:0:0:0], [0:1:0:0]} times m: x3 lies on both points, so its colon
+    # is the unit ideal; the first random chart form's colon is the
+    # saturation, two bases in all
+    points = I4("x1", "x2", "x3").intersect(I4("x0", "x2", "x3"))
+    ideal = points * points.irrelevant_ideal()
+    calls = _counting_buchberger(monkeypatch)
+    meets = []
+    real = Ideal.intersect
+
+    def counting(self, other):
+        meets.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Ideal, "intersect", counting)
+    sat = ideal.saturate()
+    assert not meets and len(calls) <= 2
+    assert sat == points
+
+
+def test_saturate_raises_when_every_chart_form_meets_the_scheme(monkeypatch):
+    # every chart form vanishes at [1:0:0:0], a point of the scheme
+    points = I4("x1", "x2", "x3").intersect(I4("x0", "x2", "x3"))
+    monkeypatch.setattr(ideals, "_chart_forms", lambda ring, seed: iter(
+        [(0, 0, 0, 1), (0, 0, 1, 1), (0, 5, 2, 1)]))
+    with pytest.raises(GenericityError):
+        points.saturate()
+    with pytest.raises(GenericityError):
+        points._affine_algebra(0)
 
 
 def test_linear_colons_are_memoised(monkeypatch):
@@ -138,8 +161,8 @@ def test_linear_colons_are_memoised(monkeypatch):
     assert ideal.quotient(ell) is q
     assert ideal.quotient(ell * 5) is q
     assert ideal.is_regular_element(ell * 7) == (q is ideal)
-    sat = ideal.saturate(ell)
-    assert ideal.saturate(ell * 3) is sat
+    sat = ideal._colon_linear(ell, math.inf)
+    assert ideal._colon_linear(ell * 3, math.inf) is sat
     assert len(calls) == 1          # one basis with l last, for both caps
     z = R3.parse("z")
     qz = ideal.quotient(z)
@@ -580,8 +603,8 @@ def test_saturation_idempotent(seed):
     f = random_homogeneous(R3, 1, rng)
     if a.is_zero() or not f:
         return
-    s = a.saturate(f)
-    assert s.saturate(f) == s
+    s = a._colon_linear(f, math.inf)
+    assert s._colon_linear(f, math.inf) == s
 
 
 @settings(max_examples=10, deadline=None)
@@ -595,7 +618,8 @@ def test_saturation_matches_iterated_quotients(seed):
     assert ideal.saturate_irrelevant() == saturate_by_quotients(ideal, m)
     for f in (random_homogeneous(R3, 1, rng), rng.choice(R3.gens())):
         if f:
-            assert ideal.saturate(f) == saturate_by_quotients(ideal, f)
+            assert (ideal._colon_linear(f, math.inf)
+                    == saturate_by_quotients(ideal, f))
 
 
 def _forms_of_each_kind(ring, rng):

@@ -17,11 +17,13 @@ from liaison.rings import (AlgebraError, PolyRing, Polynomial,
                            RingMismatchError)
 
 from .oracles import (degree_monomials, equal_by_reduced_bases,
-                      fresh_leading_monomials, hilbert_functions_by_counting,
-                      hint_kind, numerator_degree_bound,
-                      quotient_by_elimination, random_homogeneous)
+                      fresh_leading_monomials, geometric_link_by_saturation,
+                      hilbert_functions_by_counting, hint_kind,
+                      numerator_degree_bound, quotient_by_elimination,
+                      random_form_through, random_homogeneous)
 
 P = 32003
+R3 = PolyRing(("x", "y", "z"), P)
 R4 = PolyRing(("x0", "x1", "x2", "x3"), P)
 
 
@@ -66,6 +68,51 @@ def test_non_geometric_link_detected():
     ideal = I4("x0", "x2")
     residual = c.quotient(ideal)
     assert not is_geometric_link(c, ideal, residual)
+
+
+def _lines_link(rng, doubled):
+    # I = (a, e) and c = (a*b, e), or (a^2*b, e), whose residual (a*b, e)
+    # then holds the line a = e = 0 again; None for dependent forms
+    a, b, e = (random_homogeneous(R4, 1, rng) for _ in range(3))
+    if Ideal(R4, [a, b, e]).codim() != 3:
+        return None
+    c = Ideal(R4, [a * a * b if doubled else a * b, e])
+    return c, Ideal(R4, [a, e]), not doubled
+
+
+def _points_link(rng, doubled):
+    # p and q on a line L of P^2, c = (L, M*N) or (L, M^2*N) for lines M
+    # through p and N through q, and I the point p or q: with c doubled at
+    # p, the link from p is not geometric, the one from q is; None when M
+    # or N meets L at both points, or I is no point
+    p, q = ([rng.randrange(P) for _ in range(2)] + [1] for _ in range(2))
+    line = R3.linear_form([p[i] * q[j] - p[j] * q[i]
+                           for i, j in ((1, 2), (2, 0), (0, 1))])
+    m, n = random_form_through(R3, p, rng), random_form_through(R3, q, rng)
+    at_p = rng.randrange(2)
+    ideal = Ideal(R3, [random_form_through(R3, p if at_p else q, rng)
+                       for _ in range(2)])
+    if not line or not m.evaluate(q) or not n.evaluate(p) or (
+            ideal.codim() != 2):
+        return None
+    c = Ideal(R3, [line, (m * m if doubled else m) * n])
+    return c, ideal, not (doubled and at_p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       kind=st.sampled_from([_lines_link, _points_link]),
+       doubled=st.booleans())
+def test_geometric_link_matches_saturated_intersections(seed, kind, doubled):
+    # the verdict by numerators, against c^sat = (I meet J)^sat built
+    made = kind(random.Random(seed), doubled)
+    if made is None:
+        return
+    c, ideal, expected = made
+    residual = c.quotient(ideal)
+    geometric = is_geometric_link(c, ideal, residual)
+    assert geometric == expected
+    assert geometric == geometric_link_by_saturation(c, ideal, residual)
 
 
 def test_gorenstein_sum_of_linked_lines():
