@@ -11,8 +11,9 @@ A line is a pair of planes of the products, keyed by its Plucker vector;
 the lines through a point are the pairs of planes through it, and every
 crossing is found by one 3x4 solve of a line against a plane, without
 testing the line pairs one by one.  Every genericity assumption is verified
-exactly and every claimed local ideal computed by an actual (small)
-Groebner calculation.
+exactly.  A point of Gor with a single crossing pair is a reduced point by
+that count alone, the auxiliary points R_k included; every claimed local
+ideal at a fat point is computed by an actual (small) Groebner calculation.
 """
 
 from __future__ import annotations
@@ -571,32 +572,34 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
 
     focus: the PointP3 being reduced; sel: its GridCurveSelection;
     fat_forms: {point: (L planes, M planes, N planes)} for the other fat
-    points, as plane vectors; aux: the same for the auxiliary reduced points R_k, listing
-    only their fresh planes (see _auxiliary_planes); z_local: {point key:
-    Ideal} local pieces of the scheme being linked (absent key = no
-    component).  Returns the local pieces of the residual, the points of
-    its reduced residue and its degree.
+    points, as plane vectors; aux: the same for the auxiliary reduced
+    points R_k, listing only their fresh planes (see _auxiliary_planes);
+    z_local: {point key: Ideal} non-reduced local pieces of the scheme being
+    linked (absent key = no component, or the reduced point R_k).  Returns
+    the non-reduced local pieces of the residual, the points of its reduced
+    residue and its degree.
 
-    Off the tracked points, every point of Gor must be a single crossing,
-    so a reduced point.  A point where several crossing pairs meet is a
-    concurrence of planes that general forms avoid; one fresh plane through
-    it is redrawn (from `seed`), for at most MAX_REDRAW_ROUNDS rounds, and
-    the incidence table is built again.  A concurrence on no fresh plane,
-    or one left after the last round, raises GenericityError.  The rounds
-    and the seed of every redrawn plane are recorded in the
-    gorenstein-link step.
+    Off the focus and the fat points, every point of Gor must be a single
+    crossing, so a reduced point: one Y line and one W line, distinct, whose
+    two ideals span the three linear forms through the point.  A point
+    where several crossing pairs meet is a concurrence of planes that
+    general forms avoid; one fresh plane through it is redrawn (from
+    `seed`), for at most MAX_REDRAW_ROUNDS rounds, and the incidence table
+    is built again.  A concurrence on no fresh plane, or one left after the
+    last round, raises GenericityError.  The rounds and the seed of every
+    redrawn plane are recorded in the gorenstein-link step.
 
-    Local Gorenstein pieces are computed from the lines actually incident
-    to each tracked point, never from the generic expectations; the latter
-    appear only as audit checks.  At each R_k the local piece must be the
-    reduced point itself, which is the statement that R_k drops from the
-    residual; otherwise GenericityError.
+    Local Gorenstein pieces at the focus and the fat points are computed
+    from the lines actually incident to them, never from the generic
+    expectations; the latter appear only as audit checks.  At each R_k the
+    local piece must be the reduced point itself, which is the statement
+    that R_k drops from the residual: R_k must be a single crossing as soon
+    as the crossings are classified, before any redraw; otherwise
+    GenericityError.
     """
     p = ring.prime
     label = "'" if stage == 2 else ""
-    special = {focus.coords: focus}
-    for pt in itertools.chain(fat_forms, aux):
-        special[pt.coords] = pt
+    special = {pt.coords: pt for pt in (focus, *fat_forms)}
     aux = {q: tuple(list(forms) for forms in triple)
            for q, triple in aux.items()}
     redrawn = []
@@ -616,6 +619,10 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
 
         # crossings classify the support of Gor = Y meet W
         counts, elsewhere, on = arr.crossings(special)
+        for q in aux:
+            if elsewhere.get(q.coords) != 1:
+                raise GenericityError(
+                    "local Gor%s at %s is not the reduced point" % (label, q))
         concurrent = [pt for pt, n in elsewhere.items() if n > 1]
         if not concurrent:
             break
@@ -641,7 +648,7 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
         data={"deg_Y": len(arr.y), "deg_W": len(arr.w),
               "deg_CI": len(arr.lines)},
     ))
-    simple = list(elsewhere)
+    simple = [pt for pt in elsewhere if PointP3(pt) not in aux]
 
     # local Gorenstein pieces at the tracked points, from the incident lines
     gor_local = {}
@@ -654,10 +661,6 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
                  + _lines_ideal(ring, [arr.lines[arr.w[n]] for n in ws])
                  ).saturate_irrelevant()
         gor_local[key] = piece
-    for q in aux:
-        if gor_local.get(q.coords) != point_ideal(ring, q):
-            raise GenericityError(
-                "local Gor%s at %s is not the reduced point" % (label, q))
     # audits against the generic local descriptions
     focus_piece = gor_local.get(focus.coords)
     m = min(len(sel.a_forms), len(sel.b_forms))
@@ -674,7 +677,7 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
         gcheck["ci_at_%s" % pt] = (
             gor_local.get(pt.coords) == tri and tri.degree() == b ** 3)
     tau = len(simple)
-    deg_gor = sum(i.degree() for i in gor_local.values()) + tau
+    deg_gor = sum(i.degree() for i in gor_local.values()) + tau + len(aux)
 
     # Gor must contain the scheme being linked (componentwise)
     contain = all(k in gor_local and z_local[k].contains_ideal(gor_local[k])
@@ -688,13 +691,14 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
         data={"degree": deg_gor, "tau": tau,
               "concurrent": len(concurrent),
               "redraw_rounds": rounds, "redrawn": redrawn,
-              "local_degrees": {str(special[k]): gor_local[k].degree()
-                                for k in gor_local}},
+              "local_degrees": {**{str(special[k]): gor_local[k].degree()
+                                   for k in gor_local},
+                                **{str(q): 1 for q in aux}}},
         checks=gcheck,
     ))
 
     # residual: componentwise colon, with degree additivity where Z has a
-    # component; at each R_k, Gor and Z are the reduced point, so R_k drops
+    # component; each R_k is a reduced point of Gor and of Z, so it drops
     res_local = {}
     rcheck = {}
     deg_res = tau
@@ -702,8 +706,6 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
         z_piece = z_local.get(k)
         if z_piece is None:
             res = gor_piece
-        elif special[k] in aux:
-            continue
         else:
             res = gor_piece.quotient(z_piece)
         rdeg = 0 if res.is_unit() else res.degree()
@@ -713,8 +715,6 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
         if rdeg:
             res_local[k] = res
             deg_res += rdeg
-    for pt in simple:
-        res_local[pt] = "reduced"
     report.add(LinkStep(
         kind="residual",
         description=("Z%s = Gor%s : Z%s: degree %d"
@@ -758,13 +758,6 @@ def _auxiliary_planes(ring, rk_objs, fat_forms, tracked, seed):
     return out
 
 
-def _scheme_data(scheme, focus_index):
-    focus, a = scheme.points[focus_index]
-    others = [(pt, b) for i, (pt, b) in enumerate(scheme.points)
-              if i != focus_index]
-    return focus, a, others
-
-
 def theorem32_double_step(scheme, focus_index=0, seed=0, ring=None):
     """Two Gorenstein links reducing the focus multiplicity by two.
 
@@ -779,8 +772,14 @@ def theorem32_double_step(scheme, focus_index=0, seed=0, ring=None):
     times; the verdict step records the seed that succeeded.  A line
     arrangement beyond MAX_CROSSING_PAIRS raises ResourceLimitError before
     it is built; for the first link, whose size the scheme fixes, before
-    any form is drawn.
+    any form is drawn.  A focus index out of range, or a reduced focus,
+    raises AlgebraError before anything is drawn.
     """
+    if not 0 <= focus_index < len(scheme.points):
+        raise AlgebraError("focus index %d is not a point of the %d-point "
+                           "scheme" % (focus_index, len(scheme.points)))
+    if scheme.points[focus_index][1] < 2:
+        raise AlgebraError("focus point must have multiplicity >= 2")
     if ring is None:
         ring = default_ring()
     last = None
@@ -795,9 +794,9 @@ def theorem32_double_step(scheme, focus_index=0, seed=0, ring=None):
 
 
 def _double_step_once(scheme, focus_index, seed, ring):
-    focus, a, others = _scheme_data(scheme, focus_index)
-    if a < 2:
-        raise AlgebraError("focus point must have multiplicity >= 2")
+    focus, a = scheme.points[focus_index]
+    others = [(pt, b) for i, (pt, b) in enumerate(scheme.points)
+              if i != focus_index]
     report = LinkChainReport()
     all_points = [pt for pt, _ in scheme.points]
     # the first link's plane counts are known before any form is drawn
@@ -843,14 +842,8 @@ def _double_step_once(scheme, focus_index, seed, ring):
                        avoid=[pt for pt, _ in others] + rk_objs)
     aux = _auxiliary_planes(ring, rk_objs, fat_forms, all_points + rk_objs,
                             seed + 53)
-    z2_local = dict()
-    for k, piece in res1.items():
-        if piece == "reduced":
-            z2_local[k] = point_ideal(ring, PointP3(k))
-        else:
-            z2_local[k] = piece
     res2, new_points, deg_z2 = _tracked_link(
-        ring, focus, sel2, fat_forms, aux, z2_local, report, 2, seed + 53)
+        ring, focus, sel2, fat_forms, aux, res1, report, 2, seed + 53)
 
     # ---- final verification (the expected description of Z'') -------------
     checks = {}

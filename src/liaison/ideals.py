@@ -64,8 +64,6 @@ class Ideal:
     def _checked(self, generators):
         gens = []
         for g in generators:
-            if isinstance(g, str):
-                g = self.ring.parse(g)
             if g.ring != self.ring:
                 raise RingMismatchError("generator from a different ring")
             if not g.is_homogeneous():
@@ -443,9 +441,6 @@ class Ideal:
         out._bases[key] = (work, image, tuple(interreduce(
             gb + tuple(x * g for g in other._basis_with_last(key)[2]))))
         return out
-
-    def irrelevant_ideal(self):
-        return Ideal(self.ring, self.ring.gens())
 
     def saturate_irrelevant(self):
         return self.saturate()

@@ -15,6 +15,9 @@ from .groebner import minimalize, num_mul_one_minus_zd
 from .ideals import Ideal
 from .rings import AlgebraError, Polynomial
 
+# the lifting variable, appended to the base ring
+VAR = "t"
+
 
 def minimal_monomial_generators(ideal):
     """Exponent vectors of a minimal generating set of a monomial ideal.
@@ -27,10 +30,10 @@ def minimal_monomial_generators(ideal):
     return minimalize(g.leading_monomial() for g in ideal.generators)
 
 
-def lift_monomial(ring, exps, var="t"):
+def lift_monomial(ring, exps):
     """Product of shifted linear factors replacing one monomial.
 
-    `ring` is the extended ring containing `var`; `exps` indexes the
+    `ring` is the extended ring containing VAR; `exps` indexes the
     remaining variables in order.  x_i^a contributes
     prod_{j=0}^{a-1} (x_i - j*t), built at once from the coefficients of
     the falling factorial X(X-1)...(X-a+1) mod p; the result is
@@ -42,9 +45,9 @@ def lift_monomial(ring, exps, var="t"):
         raise AlgebraError(
             "prime %d too small to lift exponent %d: the shifts collide"
             % (p, top))
-    if var not in ring.variables:
-        raise AlgebraError("no lifting variable %r in the ring" % (var,))
-    ti = ring.variables.index(var)
+    if VAR not in ring.variables:
+        raise AlgebraError("no lifting variable %r in the ring" % (VAR,))
+    ti = ring.variables.index(VAR)
     plain = [i for i in range(ring.nvars) if i != ti]
     if len(exps) != len(plain):
         raise AlgebraError("exponent vector does not match the base ring")
@@ -67,17 +70,17 @@ def lift_monomial(ring, exps, var="t"):
     return out
 
 
-def lift_ideal(ideal, var="t"):
+def lift_ideal(ideal):
     """Lift of a monomial ideal: every minimal generator distracted.
 
     Returns the ideal of the lifted generators in the extended ring.
     """
     monos = minimal_monomial_generators(ideal)
-    ring2 = ideal.ring.extend(var)
-    return Ideal(ring2, [lift_monomial(ring2, m, var) for m in monos])
+    ring2 = ideal.ring.extend(VAR)
+    return Ideal(ring2, [lift_monomial(ring2, m) for m in monos])
 
 
-def verify_lifting(ideal, lifted=None, var="t", seed=0):
+def verify_lifting(ideal, lifted=None, seed=0):
     """Full verification certificate for a lifted monomial ideal.
 
     Checks, in order: setting t = 0 recovers the input; t is regular
@@ -95,18 +98,18 @@ def verify_lifting(ideal, lifted=None, var="t", seed=0):
     when it does not).  Returns (ok, certificate dict).
     """
     if lifted is None:
-        lifted = lift_ideal(ideal, var)
+        lifted = lift_ideal(ideal)
     ring = ideal.ring
     ext = lifted.ring
-    t = ext.parse(var)
+    t = ext.parse(VAR)
     cert = {"prime": ring.prime, "seed": seed,
             "lifted_generators": [str(g) for g in lifted.generators]}
 
-    back = lifted.contract_set_zero(var)
+    back = lifted.contract_set_zero(VAR)
     cert["t_zero_recovers_input"] = back == ideal
     cert["t_regular"] = lifted.is_regular_element(t)
 
-    ideal_ext = ideal.extend_ring(var)
+    ideal_ext = ideal.extend_ring(VAR)
     t_ideal = Ideal(ext, [t])
     with_t = lifted + t_ideal
     cert["plus_t_matches"] = with_t == (ideal_ext + t_ideal)

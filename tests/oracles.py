@@ -353,6 +353,11 @@ def quotient_by_elimination(ideal, by):
     return out
 
 
+def irrelevant_ideal(ring):
+    """The ideal of the variables of the ring."""
+    return Ideal(ring, ring.gens())
+
+
 def saturate_by_quotients(ideal, by):
     """ideal : by^infinity as the stable value of ideal : by : by : ...,
     each quotient by elimination."""
@@ -368,7 +373,7 @@ def geometric_link_by_saturation(c_ideal, ideal, residual):
     """The geometric-link criterion built literally: c^sat = (I meet J)^sat,
     both saturations iterated quotients by m, and I + J of codimension
     above that of I."""
-    m = ideal.irrelevant_ideal()
+    m = irrelevant_ideal(ideal.ring)
     meet = ideal.intersect(residual)
     if saturate_by_quotients(meet, m) != saturate_by_quotients(c_ideal, m):
         return False

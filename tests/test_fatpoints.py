@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from liaison import fatpoints, modp
+from liaison import fatpoints, ideals, modp
 from liaison.fatpoints import (MAX_REDRAW_ROUNDS, ROLES, FatPointScheme,
                                GridCurveSelection, PointP3,
                                ResourceLimitError,
@@ -213,6 +213,75 @@ def test_double_step_colons_only_where_z_has_a_component(monkeypatch):
     assert len(colons) == 3
 
 
+def test_double_step_builds_no_ideal_at_the_auxiliary_points(monkeypatch):
+    bases, saturations = [], []
+    buchberger, saturate = ideals.buchberger, Ideal.saturate
+
+    def counted_basis(gens, numerator=None):
+        bases.append(gens)
+        return buchberger(gens, numerator)
+
+    def counted_saturation(ideal):
+        saturations.append(ideal)
+        return saturate(ideal)
+
+    monkeypatch.setattr(ideals, "buchberger", counted_basis)
+    monkeypatch.setattr(Ideal, "saturate", counted_saturation)
+    scheme = FatPointScheme(((ORIGIN, 2), (OTHER, 1)))
+    report = theorem32_double_step(scheme, seed=0)
+    assert report.ok()
+    # each R_k is certified by its single crossing: no line ideal,
+    # saturation or point ideal is built there
+    assert len(saturations) == 6
+    assert len(bases) == 45
+
+
+def test_auxiliary_point_on_two_planes_of_one_role_fails_at_once(
+        monkeypatch):
+    auxiliary_planes = fatpoints._auxiliary_planes
+
+    def doubled(ring, rk_objs, fat_forms, tracked, seed):
+        aux = auxiliary_planes(ring, rk_objs, fat_forms, tracked, seed)
+        # a second M plane through the first R_k: two crossing pairs there
+        q = rk_objs[0]
+        aux[q][1].extend(general_forms_through(
+            ring, q, 1, seed + 1, [r for r in tracked if r != q]))
+        return aux
+
+    calls = []
+    crossings = fatpoints._Arrangement.crossings
+
+    def recording(arr, special):
+        calls.append(arr)
+        return crossings(arr, special)
+
+    monkeypatch.setattr(fatpoints, "_auxiliary_planes", doubled)
+    monkeypatch.setattr(fatpoints._Arrangement, "crossings", recording)
+    monkeypatch.setattr(fatpoints, "DOUBLE_STEP_TRIES", 1)
+    scheme = FatPointScheme(((ORIGIN, 2), (OTHER, 1)))
+    with pytest.raises(GenericityError, match="is not the reduced point"):
+        theorem32_double_step(scheme, seed=0)
+    # one classification per link: no redraw round was spent on the R_k
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("points,focus_index", [
+    ((), 0),
+    (((ORIGIN, 2),), 3),
+    (((ORIGIN, 2),), -1),
+    (((ORIGIN, 1), (OTHER, 2)), 0),
+])
+def test_double_step_refuses_a_focus_it_cannot_step(monkeypatch, points,
+                                                    focus_index):
+    def no_step(*args):
+        raise AssertionError("a step tried before the focus check")
+    monkeypatch.setattr(fatpoints, "_double_step_once", no_step)
+    scheme = FatPointScheme(points)
+    with pytest.raises(AlgebraError, match="focus") as info:
+        theorem32_double_step(scheme, focus_index=focus_index, seed=0)
+    assert type(info.value) is AlgebraError
+
+
 # Z at the focus of the seed-0 (2, 1) first link: a subscheme of Gor, the
 # scheme the double step links, or one that Gor does not contain
 FIRST_LINK_FOCUS = [
@@ -256,6 +325,30 @@ def test_double_step_budget_fails_before_drawing(monkeypatch):
 
 
 # -- the incidence table against the pairwise sweep --------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_two_lines_through_a_point_cut_out_the_point(data):
+    # the certificate at a single crossing: one Y line and one W line
+    # through q, distinct, and their saturated sum is the reduced point q
+    q = PointP3.make(data.draw(PLANE), P)
+    basis = modp.nullspace([list(q.coords)], P)
+
+    def plane():
+        c = data.draw(st.tuples(*[st.integers(0, SMALL - 1)] * 3).filter(any))
+        return normalize_point([sum(a * v[j] for a, v in zip(c, basis))
+                                for j in range(4)], P)
+
+    try:
+        y, w = (fatpoints._ci_lines([plane()], [plane()], P)[0, 0]
+                for _ in range(2))
+    except GenericityError:
+        assume(False)
+    assume(y != w)
+    piece = (fatpoints._lines_ideal(RING, [y])
+             + fatpoints._lines_ideal(RING, [w])).saturate_irrelevant()
+    assert piece == point_ideal(RING, q)
+
 
 def _sweep_lines(planes, cone, p):
     """Y and W as line lists in sweep order, built from the planes alone:

@@ -44,6 +44,9 @@ def test_lift_requires_large_prime():
     small = PolyRing(("x", "y"), 2).extend("t")
     with pytest.raises(AlgebraError):
         lift_monomial(small, (3, 0))
+    # the ring must hold the lifting variable
+    with pytest.raises(AlgebraError, match="lifting variable"):
+        lift_monomial(R2, (1, 0))
 
 
 def test_lift_square_of_maximal_ideal_gives_three_points():
