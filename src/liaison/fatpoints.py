@@ -2,18 +2,20 @@
 
 Zero-dimensional schemes are unions of fat points; the link machinery
 reduces a chosen fat point two multiplicities at a time via a pair of
-Gorenstein links built from unions of lines.  Small objects (cone curves,
-local pieces) are handled by Groebner bases.  The large line arrangements
-of the links are tracked exactly in a plane-incidence table
-(`_Arrangement`).  A plane is its canonical coefficient 4-vector from the
+Gorenstein links built from unions of lines.  No ideal is built by
+intersecting lines: a cone curve is generated by staircase products of its
+grid's planes, and the piece at another fat point is a complete
+intersection of plane products.  The large line arrangements of the links
+are tracked exactly in a plane-incidence table (`_Arrangement`).  A plane is its canonical coefficient 4-vector from the
 moment it is drawn, and a polynomial is built only where an ideal is made.
 A line is a pair of planes of the products, keyed by its Plucker vector;
 the lines through a point are the pairs of planes through it, and every
 crossing is found by one 3x4 solve of a line against a plane, without
 testing the line pairs one by one.  Every genericity assumption is verified
 exactly.  A point of Gor with a single crossing pair is a reduced point by
-that count alone, the auxiliary points R_k included; every claimed local
-ideal at a fat point is computed by an actual (small) Groebner calculation.
+that count alone, the auxiliary points R_k included; the planes through the
+focus and through each fat point must be exactly its own, which makes the
+closed forms of their local pieces exact.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from . import modp
 from .ideals import GenericityError, Ideal, normalize_point
 from .links import LinkChainReport, LinkStep, gorenstein_sum
-from .rings import AlgebraError, PolyRing
+from .rings import AlgebraError, InputError, PolyRing
 
 
 class ResourceLimitError(AlgebraError):
@@ -159,18 +161,21 @@ def general_forms_through(ring, point, count, seed, avoid=()):
 
     Each is the coefficient 4-vector of a linear form vanishing at the
     point, scaled so that its first nonzero entry is 1.  Pairwise distinct,
-    off every point in `avoid`; raises GenericityError when the retry
-    budget runs out.
+    off every point in `avoid` but the point itself, which every plane
+    through it lies on; raises GenericityError when the retry budget runs
+    out.
     """
     if count < 1:
         raise AlgebraError("need at least one form")
     rng = random.Random("forms:%s:%d" % (point, seed))
     p = ring.prime
+    here = point.coords
+    avoid = [q.coords for q in avoid if q.coords != here]
     out = []
     for _ in range(count):
         for _attempt in range(40):
-            v = _random_plane_at(point.coords, rng, p)
-            if v in out or any(_on(v, q.coords, p) for q in avoid):
+            v = _random_plane_at(here, rng, p)
+            if v in out or any(_on(v, q, p) for q in avoid):
                 continue
             out.append(v)
             break
@@ -217,48 +222,63 @@ def gorenstein_X_hvector_formula(n, a):
 def grid_curves(ring, point, na, nb, seed=0, avoid=()):
     """Cone curves C, D inside the complete intersection of two products.
 
-    Builds products of `na` and `nb` general planes through the point,
-    selects the triangular index pattern {(i, j) : i + j <= m - 1} with
-    m = min(na, nb) as C, and verifies h_vector(I_C) = h_vector(I_D) =
-    (1, 2, ..., m) and I_C, I_D inside the m-th power of the point ideal,
-    retrying with fresh forms on failure.
+    Draws `na` and `nb` general planes a_i, b_j through the point, off
+    `avoid`, redrawn (at most GRID_TRIES times) until their products cut
+    na * nb distinct lines.  C is the triangle i + j < m, m = min(na, nb),
+    and D the rest: the same triangle in the reversed lists, which needs
+    |na - nb| = 1 (InputError before any draw otherwise).  Both are written
+    down (`_staircase`); the h-vector (1, ..., m) of each is the
+    certificate, GenericityError otherwise.  Every product has m factors
+    through the point, so C and D lie in its m-th power.
     """
-    if na < 1 or nb < 1:
-        raise AlgebraError("need positive form counts")
+    if min(na, nb) < 1 or abs(na - nb) != 1:
+        raise InputError("a grid of cone curves needs form counts n and "
+                         "n + 1, not %d and %d" % (na, nb))
     m = min(na, nb)
-    target = tuple(range(1, m + 1))
-    power = fat_point_ideal(ring, point, m)
     for attempt in range(GRID_TRIES):
         forms = general_forms_through(ring, point, na + nb,
                                       seed + 7919 * attempt, avoid)
         a_forms, b_forms = forms[:na], forms[na:]
         try:
-            lines = _ci_lines(a_forms, b_forms, ring.prime)
+            _ci_lines(a_forms, b_forms, ring.prime)
         except GenericityError:
             continue
-        selected = [(i, j) for i, j in lines if i + j <= m - 1]
-        ideal_c = _lines_ideal(ring, [lines[ij] for ij in selected])
-        ideal_d = _lines_ideal(ring, [key for (i, j), key in lines.items()
-                                      if i + j > m - 1])
-        if ideal_c.h_vector() != target or ideal_d.h_vector() != target:
-            continue
-        if not (power.contains_ideal(ideal_c)
-                and power.contains_ideal(ideal_d)):
-            continue
-        return GridCurveSelection(a_forms, b_forms, selected, ideal_c,
-                                  ideal_d)
-    raise GenericityError(
-        "no grid selection passed the h-vector check (this should not "
-        "happen; the triangular pattern is always admissible)")
+        break
+    else:
+        raise GenericityError(
+            "no (%d, %d) grid of distinct lines at %s in %d draws"
+            % (na, nb, point, GRID_TRIES))
+    ideal_c = _staircase(ring, a_forms, b_forms, m)
+    ideal_d = _staircase(ring, a_forms[::-1], b_forms[::-1], m)
+    target = tuple(range(1, m + 1))
+    for name, ideal in (("C", ideal_c), ("D", ideal_d)):
+        if ideal.h_vector() != target:
+            raise GenericityError(
+                "cone curve %s of the (%d, %d) grid at %s has h-vector %s"
+                % (name, na, nb, point, ideal.h_vector()))
+    selected = [(i, j) for i in range(na) for j in range(nb) if i + j < m]
+    return GridCurveSelection(a_forms, b_forms, selected, ideal_c, ideal_d)
 
 
-def _lines_ideal(ring, keys):
-    """Ideal of a union of lines, each given by its Plucker vector."""
-    out = None
-    for key in keys:
-        li = Ideal(ring, [ring.linear_form(r) for r in _line_rows(key)])
-        out = li if out is None else out.intersect(li)
-    return out
+def _staircase(ring, a_forms, b_forms, m):
+    """The ideal of the lines (a_i, b_j), i + j < m, on its reduced basis.
+
+    With A_k = a_0...a_(k-1) and B_l = b_0...b_(l-1), the products
+    A_k * B_(m-k), k = 0..m, are the maximal minors of the (m + 1) x m
+    matrix with a_k on the diagonal and -b_(m-1-k) just below it, and each
+    vanishes on the triangle (i < k or j < m - k).  With the h-vector
+    (1, ..., m) their ideal has codimension 2, so it is Cohen-Macaulay by
+    Hilbert-Burch (Eisenbud, Commutative Algebra, Thm. 20.15), unmixed of
+    degree m(m + 1)/2: the ideal of the m(m + 1)/2 distinct lines.
+    """
+    prefix_a, prefix_b = [ring.one()], [ring.one()]
+    for u, v in zip(a_forms[:m], b_forms[:m]):
+        prefix_a.append(prefix_a[-1] * ring.linear_form(u))
+        prefix_b.append(prefix_b[-1] * ring.linear_form(v))
+    products = Ideal(ring, [prefix_a[k] * prefix_b[m - k]
+                            for k in range(m + 1)])
+    return Ideal(ring, products.groebner_basis(),
+                 products.hilbert_numerator())
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +287,16 @@ def _lines_ideal(ring, keys):
 def single_fatpoint_link_step(ring, point, a, seed=0):
     """One link from a fat point of multiplicity a down to a - 1.
 
-    Builds the cone curves C, D of the (a, a+1) grid, forms the Gorenstein
-    scheme X = C meet D, verifies X inside the a-th power, links, and
-    verifies the residual equals the (a-1)-st power exactly.  Returns a
-    LinkChainReport with the residual ideal in `result`.
+    Builds the cone curves C, D of the (a, a+1) grid and the Gorenstein
+    scheme X = C meet D, which lies in the a-th power because C and D do
+    (`grid_curves`), links, and verifies the residual equals the (a-1)-st
+    power exactly.  Returns a LinkChainReport with the residual ideal in
+    `result`.
     """
     if a < 2:
         raise AlgebraError("reduction step needs multiplicity >= 2")
     report = LinkChainReport()
     sel = grid_curves(ring, point, a, a + 1, seed=seed)
-    pa = fat_point_ideal(ring, point, a)
     report.add(LinkStep(
         kind="grid-curves",
         description="C and D from the (%d, %d) grid at %s" % (a, a + 1, point),
@@ -290,7 +310,6 @@ def single_fatpoint_link_step(ring, point, a, seed=0):
     checks = {
         "gorenstein_certificate": cert["gorenstein"],
         "h_vector_matches_formula": hv == expected,
-        "contained_in_power": pa.contains_ideal(gor),
     }
     report.add(LinkStep(
         kind="gorenstein-sum",
@@ -299,11 +318,11 @@ def single_fatpoint_link_step(ring, point, a, seed=0):
         checks=checks,
     ))
 
+    pa = fat_point_ideal(ring, point, a)
     residual = gor.quotient(pa)
-    lower = (fat_point_ideal(ring, point, a - 1) if a > 2
-             else point_ideal(ring, point))
     checks = {
-        "residual_is_lower_power": residual == lower,
+        "residual_is_lower_power": (
+            residual == fat_point_ideal(ring, point, a - 1)),
         "degree_additivity": gor.degree() == pa.degree() + residual.degree(),
     }
     report.add(LinkStep(
@@ -371,27 +390,6 @@ def _ci_lines(f_vecs, g_vecs, p):
     return out
 
 
-_MINORS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _line_rows(key):
-    """The reduced row echelon basis of the planes through a line, read off
-    its Plucker vector (see `_ci_lines`).
-
-    The pivot columns (a, b) of the echelon rows r, s are the first pair
-    with a nonzero minor, and their (a, b) minor is 1, as in the scaled
-    vector.  With w_ij the minor of columns i, j (w_ji = -w_ij), row r is
-    (w_cb)_c and row s is (w_ac)_c; so the ideal of a line gets the same
-    generators, and the same Groebner work, however its planes were drawn.
-    """
-    w = {}
-    for (i, j), c in zip(_MINORS, key):
-        w[i, j], w[j, i] = c, -c
-    a, b = next(ij for ij, c in zip(_MINORS, key) if c)
-    return (tuple(w.get((c, b), 0) for c in range(4)),
-            tuple(w.get((a, c), 0) for c in range(4)))
-
-
 def _meet(m, w, p):
     """The point where a line meets a plane w, by one 3x4 solve.
 
@@ -456,9 +454,9 @@ class _Arrangement:
     def crossings(self, special):
         """Classify every crossing of a Y-line with a W-line.
 
-        Returns (pair counts at the special points, {other crossing point:
-        pair count}, {point: its (F, Q, N') planes} for the special points
-        and the points with several pairs).
+        Returns ({crossing point off the special points: pair count},
+        {point: its (F, Q, N') planes} for the special points and the
+        points with several pairs).
 
         Two distinct lines meet exactly when their four planes have a
         common point.  So a Y line y meets a W line (F_j, N'_l) at the point
@@ -502,11 +500,7 @@ class _Arrangement:
                 if cut not in own:
                     x = _meet(m, self.planes[cut[0]][cut[1]], p)
                     cut_by[x] = cut_by.get(x, ()) + own + (cut,)
-        counts, on = {}, {}
-        for key in special:
-            on[key] = self.planes_through(key)
-            ys, ws = self.lines_through(on[key])
-            counts[key] = len(ys) * len(ws)
+        on = {key: self.planes_through(key) for key in special}
         found = []
         for x, cuts in cut_by.items():
             if x in special:
@@ -521,7 +515,7 @@ class _Arrangement:
                 if pairs > 1:
                     on[x] = at
         found.sort()
-        return counts, {x: n for _, _, x, n in found}, on
+        return {x: n for _, _, x, n in found}, on
 
 
 def _product(ring, vecs):
@@ -534,15 +528,22 @@ def _product(ring, vecs):
 # ---------------------------------------------------------------------------
 # one tracked Gorenstein link (shared by both halves of the double step)
 
-def _link_planes(sel, fat_forms, aux):
+def _link_planes(focus, sel, fat_forms, aux):
     """Coefficient vectors of the plane products F, Q and N' of one link.
 
     F holds the grid's a-forms and the L planes, Q the M planes, and N' the
     grid's b-forms and the N planes; G is Q then N'.  Also returns the
-    fresh planes: {(role, index): (position of R_k in aux, role, R_k)}.
+    (F, Q, N') index sets of the planes drawn through the focus and through
+    each fat point, {coordinates: index sets}, and the fresh planes:
+    {(role, index): (position of R_k in aux, role, R_k)}.
     """
     planes = (list(sel.a_forms), [], list(sel.b_forms))
-    for triple in fat_forms.values():
+    own = {focus.coords: (set(range(len(sel.a_forms))), set(),
+                          set(range(len(sel.b_forms))))}
+    for pt, triple in fat_forms.items():
+        own[pt.coords] = tuple(
+            set(range(len(planes[role]), len(planes[role]) + len(vecs)))
+            for role, vecs in enumerate(triple))
         for role, vecs in enumerate(triple):
             planes[role].extend(vecs)
     fresh = {}
@@ -551,7 +552,7 @@ def _link_planes(sel, fat_forms, aux):
             for v in vecs:
                 fresh[role, len(planes[role])] = (pos, role, q)
                 planes[role].append(v)
-    return planes, fresh
+    return planes, own, fresh
 
 
 def _fresh_plane_at(fresh, on, point):
@@ -589,13 +590,18 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
     last round, raises GenericityError.  The rounds and the seed of every
     redrawn plane are recorded in the gorenstein-link step.
 
-    Local Gorenstein pieces at the focus and the fat points are computed
-    from the lines actually incident to them, never from the generic
-    expectations; the latter appear only as audit checks.  At each R_k the
-    local piece must be the reduced point itself, which is the statement
-    that R_k drops from the residual: R_k must be a single crossing as soon
-    as the crossings are classified, before any redraw; otherwise
-    GenericityError.
+    The planes through the focus and through each fat point must be
+    exactly its own, as soon as the crossings are classified; otherwise
+    GenericityError.  Then the lines through the focus are the grid's, and
+    its local Gorenstein piece is (I_C + I_D)^sat.  The lines through a fat
+    point are L x M in Y and L x N in W, pairwise distinct (`_ci_lines`),
+    so near the point I_Y and I_W are (prod L, prod M) and (prod L, prod N),
+    and its piece is (prod L, prod M, prod N): a complete intersection of
+    codimension 3, so saturated, and supported at the point alone, since no
+    L, M and N planes share a line.  At each R_k the local piece must be
+    the reduced point itself, which is the statement that R_k drops from
+    the residual: R_k must be a single crossing as soon as the crossings
+    are classified, before any redraw; otherwise GenericityError.
     """
     p = ring.prime
     label = "'" if stage == 2 else ""
@@ -604,7 +610,7 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
            for q, triple in aux.items()}
     redrawn = []
     for rounds in range(MAX_REDRAW_ROUNDS + 1):
-        planes, fresh = _link_planes(sel, fat_forms, aux)
+        planes, own, fresh = _link_planes(focus, sel, fat_forms, aux)
         f_vecs, q_vecs, n_vecs = planes
         nq = len(q_vecs)
         _check_budget(len(f_vecs), nq, nq + len(n_vecs), len(sel.selected))
@@ -618,7 +624,12 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
         arr = _Arrangement(planes, sel.selected, p)
 
         # crossings classify the support of Gor = Y meet W
-        counts, elsewhere, on = arr.crossings(special)
+        elsewhere, on = arr.crossings(special)
+        for key, planes_own in own.items():
+            if on[key] != planes_own:
+                raise GenericityError(
+                    "the planes through %s in Gor%s are not its own"
+                    % (special[key], label))
         for q in aux:
             if elsewhere.get(q.coords) != 1:
                 raise GenericityError(
@@ -636,8 +647,7 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
             # popped: the redrawn plane passes through no crossing point
             _, role, q = fresh.pop(_fresh_plane_at(fresh, on[pt], pt))
             s = seed + 3 * (rounds + 1) + role
-            avoid = [r for r in crossings if r != q]
-            aux[q][role][:] = general_forms_through(ring, q, 1, s, avoid)
+            aux[q][role][:] = general_forms_through(ring, q, 1, s, crossings)
             redrawn.append({"point": str(q), "role": ROLES[role], "seed": s})
     report.add(LinkStep(
         kind="basic-double-link",
@@ -650,39 +660,22 @@ def _tracked_link(ring, focus, sel, fat_forms, aux, z_local, report,
     ))
     simple = [pt for pt in elsewhere if PointP3(pt) not in aux]
 
-    # local Gorenstein pieces at the tracked points, from the incident lines
-    gor_local = {}
-    gcheck = {}
-    for key in special:
-        if counts[key] == 0:
-            continue
-        ys, ws = arr.lines_through(on[key])
-        piece = (_lines_ideal(ring, [arr.lines[arr.y[n]] for n in ys])
-                 + _lines_ideal(ring, [arr.lines[arr.w[n]] for n in ws])
-                 ).saturate_irrelevant()
-        gor_local[key] = piece
-    # audits against the generic local descriptions
-    focus_piece = gor_local.get(focus.coords)
+    # local Gorenstein pieces at the tracked points, from their own planes
+    focus_piece = (sel.ideal_c + sel.ideal_d).saturate_irrelevant()
+    gor_local = {focus.coords: focus_piece}
+    for pt, triple in fat_forms.items():
+        gor_local[pt.coords] = Ideal(ring, [_product(ring, vecs)
+                                            for vecs in triple])
     m = min(len(sel.a_forms), len(sel.b_forms))
-    formula = gorenstein_X_hvector_formula(3, m)
-    gcheck["focus_piece_is_C_meet_D"] = (
-        focus_piece == (sel.ideal_c + sel.ideal_d).saturate_irrelevant())
-    gcheck["focus_h_vector"] = (
-        focus_piece is not None
-        and focus_piece.h_vector() == formula)
-    for pt, (lf, mf, nf) in fat_forms.items():
-        tri = Ideal(ring, [_product(ring, lf), _product(ring, mf),
-                           _product(ring, nf)])
-        b = len(lf)
-        gcheck["ci_at_%s" % pt] = (
-            gor_local.get(pt.coords) == tri and tri.degree() == b ** 3)
     tau = len(simple)
     deg_gor = sum(i.degree() for i in gor_local.values()) + tau + len(aux)
-
-    # Gor must contain the scheme being linked (componentwise)
-    contain = all(k in gor_local and z_local[k].contains_ideal(gor_local[k])
-                  for k in z_local)
-    gcheck["scheme_inside_Gor"] = contain
+    gcheck = {
+        "focus_h_vector": (
+            focus_piece.h_vector() == gorenstein_X_hvector_formula(3, m)),
+        # Gor must contain the scheme being linked (componentwise)
+        "scheme_inside_Gor": all(z_local[k].contains_ideal(gor_local[k])
+                                 for k in z_local),
+    }
     report.add(LinkStep(
         kind="gorenstein-link",
         description=("Gor%s = Y%s + W%s: degree %d with %d simple auxiliary "
@@ -733,7 +726,7 @@ def _auxiliary_planes(ring, rk_objs, fat_forms, tracked, seed):
     restore the fat points.  R_k gets a fresh plane, avoiding every other
     tracked point, only for a role that no reused plane through it fills,
     so exactly one plane of each role passes through R_k and the local
-    Gor' there is the reduced point.  Two reused planes of one role through
+    Gor' there is the reduced point.  `tracked` may hold R_k itself.  Two reused planes of one role through
     R_k raise GenericityError.
     """
     p = ring.prime
@@ -751,7 +744,7 @@ def _auxiliary_planes(ring, rk_objs, fat_forms, tracked, seed):
         open_roles = [role for role in range(3) if not through[role]]
         if open_roles:
             vecs = general_forms_through(ring, q, len(open_roles), seed,
-                                         [r for r in tracked if r != q])
+                                         tracked)
             for role, v in zip(open_roles, vecs):
                 triple[role].append(v)
         out[q] = triple
@@ -773,13 +766,13 @@ def theorem32_double_step(scheme, focus_index=0, seed=0, ring=None):
     arrangement beyond MAX_CROSSING_PAIRS raises ResourceLimitError before
     it is built; for the first link, whose size the scheme fixes, before
     any form is drawn.  A focus index out of range, or a reduced focus,
-    raises AlgebraError before anything is drawn.
+    raises InputError before anything is drawn.
     """
     if not 0 <= focus_index < len(scheme.points):
-        raise AlgebraError("focus index %d is not a point of the %d-point "
-                           "scheme" % (focus_index, len(scheme.points)))
+        raise InputError("focus index %d is not a point of the %d-point "
+                         "scheme" % (focus_index, len(scheme.points)))
     if scheme.points[focus_index][1] < 2:
-        raise AlgebraError("focus point must have multiplicity >= 2")
+        raise InputError("focus point must have multiplicity >= 2")
     if ring is None:
         ring = default_ring()
     last = None
@@ -804,8 +797,7 @@ def _double_step_once(scheme, focus_index, seed, ring):
     _check_budget(a + nb, nb, 2 * nb + a + 1, a * (a + 1) // 2)
 
     # ---- first link -------------------------------------------------------
-    sel1 = grid_curves(ring, focus, a, a + 1, seed=seed,
-                       avoid=[pt for pt, _ in others])
+    sel1 = grid_curves(ring, focus, a, a + 1, seed=seed, avoid=all_points)
     report.add(LinkStep(
         kind="grid-curves",
         description="C, D from the (%d, %d) grid at %s" % (a, a + 1, focus),
@@ -813,11 +805,10 @@ def _double_step_once(scheme, focus_index, seed, ring):
     ))
     fat_forms = {}
     for pt, b in others:
-        avoid = [q for q in all_points if q != pt]
         fat_forms[pt] = (
-            general_forms_through(ring, pt, b, seed + 11, avoid),
-            general_forms_through(ring, pt, b, seed + 23, avoid),
-            general_forms_through(ring, pt, b, seed + 37, avoid),
+            general_forms_through(ring, pt, b, seed + 11, all_points),
+            general_forms_through(ring, pt, b, seed + 23, all_points),
+            general_forms_through(ring, pt, b, seed + 37, all_points),
         )
     z_local = {focus.coords: fat_point_ideal(ring, focus, a)}
     for pt, b in others:
@@ -838,10 +829,9 @@ def _double_step_once(scheme, focus_index, seed, ring):
 
     # ---- second link ------------------------------------------------------
     rk_objs = [PointP3(pt) for pt in rk_points]
-    sel2 = grid_curves(ring, focus, a, a - 1, seed=seed + 101,
-                       avoid=[pt for pt, _ in others] + rk_objs)
-    aux = _auxiliary_planes(ring, rk_objs, fat_forms, all_points + rk_objs,
-                            seed + 53)
+    tracked = all_points + rk_objs
+    sel2 = grid_curves(ring, focus, a, a - 1, seed=seed + 101, avoid=tracked)
+    aux = _auxiliary_planes(ring, rk_objs, fat_forms, tracked, seed + 53)
     res2, new_points, deg_z2 = _tracked_link(
         ring, focus, sel2, fat_forms, aux, res1, report, 2, seed + 53)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .groebner import num_add, same_hilbert_polynomial
 from .ideals import GenericityError, Ideal
-from .rings import AlgebraError, RingMismatchError
+from .rings import AlgebraError, InputError, RingMismatchError
 
 # seeded draws of a general CI before proper_ci_intersection_link gives up
 CI_LINK_TRIES = 24
@@ -156,7 +156,8 @@ def lemma_key_link(ideal, f, other):
     if f.ring != ideal.ring or other.ring != ideal.ring:
         raise RingMismatchError("the colon identity needs one ring")
     if f.is_constant() or not f.is_homogeneous():
-        raise AlgebraError("multiplier must be a homogeneous non-constant form")
+        raise InputError("multiplier must be a homogeneous non-constant "
+                         "form: %s" % f)
     if f.degree() == 1:
         other.groebner_basis_with_last(f)
     if not other.contains_ideal(ideal):

@@ -30,6 +30,10 @@ class ParseError(AlgebraError):
     pass
 
 
+class InputError(AlgebraError):
+    """Arguments that the called construction does not accept."""
+
+
 # Miller-Rabin to the twelve prime bases 2..37 is exact below this bound
 # (Sorenson and Webster, Math. Comp. 86, 2017)
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -16,10 +16,12 @@ scheme by Buchberger on the dehomogenized generators, instead of the
 dehomogenized projective basis, and reducedness by the characteristic
 polynomial of a random multiplier, instead of the minimal polynomials of
 the coordinates, lines as the RREF rows of their two planes, instead of
-their Plucker vectors, and the crossings of two line sets by testing every
-pair of lines, instead of reading them off the planes through each point,
-and substitution term by term, each term the product of the powers of its
-images, instead of by Horner's rule.
+their Plucker vectors, the ideal of a union of lines as the intersection of
+the ideals of its lines, instead of the staircase products of a grid, and
+the crossings of two line sets by testing every pair of lines, instead of
+reading them off the planes through each point, and substitution term by
+term, each term the product of the powers of its images, instead of by
+Horner's rule.
 """
 
 import math
@@ -467,6 +469,37 @@ def line_rows(u, v, p):
     if len(pivots) != 2:
         raise GenericityError("proportional forms do not cut a line")
     return tuple(red[0]), tuple(red[1])
+
+
+_MINORS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def plucker_rows(key):
+    """The reduced row echelon basis of the planes through a line, read off
+    its Plucker vector (the six 2x2 minors 01, 02, 03, 12, 13, 23 of two of
+    its planes, scaled so that the first nonzero one is 1).
+
+    The pivot columns (a, b) of the echelon rows r, s are the first pair
+    with a nonzero minor, and their (a, b) minor is 1, as in the scaled
+    vector.  With w_ij the minor of columns i, j (w_ji = -w_ij), row r is
+    (w_cb)_c and row s is (w_ac)_c.
+    """
+    w = {}
+    for (i, j), c in zip(_MINORS, key):
+        w[i, j], w[j, i] = c, -c
+    a, b = next(ij for ij, c in zip(_MINORS, key) if c)
+    return (tuple(w.get((c, b), 0) for c in range(4)),
+            tuple(w.get((a, c), 0) for c in range(4)))
+
+
+def lines_ideal(ring, keys):
+    """Ideal of a union of lines, each given by its Plucker vector: the
+    intersection of the ideals of the lines, one at a time."""
+    out = None
+    for key in keys:
+        li = Ideal(ring, [ring.linear_form(r) for r in plucker_rows(key)])
+        out = li if out is None else out.intersect(li)
+    return out
 
 
 def meet_point(y, w, p):

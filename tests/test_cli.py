@@ -291,26 +291,26 @@ DIGEST_CASES = {
     "fatpoints_2": (
         ["fatpoints"], {"points": [{"coords": [1, 0, 0, 0], "mult": 2}]},
         EXIT_OK,
-        "9f0b0b6d751918a3b0c7f81c50729dbeaabea52562c6d76bf8bb388a411b0b31"),
+        "2e39d0b68a3f01f5eeaac88a745bd7290d4fae810c4a044fdd6cd5fc8a5a77ab"),
     "fatpoints_double_2_1": (
         ["fatpoints", "--double-step"],
         {"points": [{"coords": [1, 0, 0, 0], "mult": 2},
                     {"coords": [0, 1, 0, 0], "mult": 1}]},
         EXIT_OK,
-        "ad7094b992eaf6eea584830a5aa10af4e8350be1ecf97a594f93550ef98cbfc5"),
+        "6e6f0e44b5441e5f81224ea5234c9d9c59a723bff291cc0690687806eddda7e4"),
     "fatpoints_double_3_1": (
         ["fatpoints", "--double-step"],
         {"points": [{"coords": [1, 0, 0, 0], "mult": 3},
                     {"coords": [0, 1, 0, 0], "mult": 1}]},
         EXIT_OK,
-        "dcb946b0961f6e0f2881ebf47f6b3b645a499e84bd9a5c43fad4bd079ee7475b"),
+        "9335a81629e2fa9e9495e3232154965666719c7fb8e8a50d0cae52d35ecae251"),
     # three redraw rounds in the second link: pins the redraw order
     "fatpoints_double_2_2": (
         ["fatpoints", "--double-step"],
         {"points": [{"coords": [1, 0, 0, 0], "mult": 2},
                     {"coords": [0, 1, 0, 0], "mult": 2}]},
         EXIT_OK,
-        "a3a09e4568a9f310127a5be11b9910ba56e301299ce51f6240023bb0388fda49"),
+        "c8a3b336659325c4c83ae1ea543060cfeda8429da21fda4c43ef709c9d562e48"),
 }
 
 

@@ -19,9 +19,9 @@ from liaison.fatpoints import (MAX_REDRAW_ROUNDS, ROLES, FatPointScheme,
                                theorem32_double_step)
 from liaison.ideals import GenericityError, Ideal, normalize_point
 from liaison.links import LinkChainReport
-from liaison.rings import AlgebraError, PolyRing
+from liaison.rings import AlgebraError, InputError, PolyRing
 
-from .oracles import line_rows, sweep_crossings
+from .oracles import lines_ideal, line_rows, plucker_rows, sweep_crossings
 
 P = 32003
 RING = default_ring()
@@ -97,6 +97,10 @@ def test_general_forms_through_point():
         assert f.evaluate(OTHER.coords) != 0
     again = general_forms_through(RING, ORIGIN, 3, seed=9, avoid=[OTHER])
     assert forms == again
+    # the point itself is dropped from `avoid`: every plane through it
+    # lies on it
+    assert general_forms_through(RING, ORIGIN, 3, seed=9,
+                                 avoid=[ORIGIN, OTHER]) == forms
 
 
 @pytest.mark.parametrize("a", [2, 3])
@@ -108,6 +112,37 @@ def test_grid_curves_h_vector_and_containment(a):
     power = fat_point_ideal(RING, ORIGIN, a)
     assert power.contains_ideal(sel.ideal_c)
     assert power.contains_ideal(sel.ideal_d)
+
+
+@pytest.mark.parametrize("na,nb", [(2, 2), (3, 1), (4, 1), (0, 1), (1, 3)])
+def test_grid_curves_refuse_counts_no_grid_satisfies(monkeypatch, na, nb):
+    # D has na * nb - m(m + 1)/2 lines and must have the h-vector
+    # (1, ..., m), which sums to m(m + 1)/2: so na * nb = m(m + 1)
+    def no_draws(*args, **kwargs):
+        raise AssertionError("forms drawn before the count check")
+    monkeypatch.setattr(fatpoints, "general_forms_through", no_draws)
+    with pytest.raises(InputError, match="form counts"):
+        grid_curves(RING, ORIGIN, na, nb, seed=0)
+
+
+@settings(max_examples=24, deadline=None)
+@given(a=st.integers(2, 4), wider=st.booleans(),
+       coords=st.tuples(*[st.integers(0, P - 1)] * 4).filter(any),
+       seed=st.integers(0, 10 ** 6))
+def test_closed_form_grids_match_the_line_ideals(a, wider, coords, seed):
+    # C and D, written down as staircase products, against the
+    # intersections of the ideals of their lines
+    point = PointP3.make(coords, P)
+    nb = a + 1 if wider else a - 1
+    sel = grid_curves(RING, point, a, nb, seed=seed)
+    lines = fatpoints._ci_lines(sel.a_forms, sel.b_forms, P)
+    chosen = set(sel.selected)
+    assert sel.ideal_c == lines_ideal(RING, [lines[ij] for ij in sel.selected])
+    assert sel.ideal_d == lines_ideal(
+        RING, [key for ij, key in lines.items() if ij not in chosen])
+    # generated by their reduced bases, as an intersection leaves them
+    for ideal in (sel.ideal_c, sel.ideal_d):
+        assert ideal.generators == tuple(ideal.groebner_basis())
 
 
 # -- link steps --------------------------------------------------------------
@@ -162,7 +197,9 @@ def test_auxiliary_planes_fill_only_open_roles():
     # a concurrence is redrawn on the first fresh plane through it, and
     # must lie on one: [0:1:0:0] lies on reused planes only
     sel = GridCurveSelection([x1], [(0, 1, 1, 2)], [])
-    planes, fresh = fatpoints._link_planes(sel, fat_forms, aux)
+    planes, own, fresh = fatpoints._link_planes(ORIGIN, sel, fat_forms, aux)
+    assert own == {ORIGIN.coords: ({0}, set(), {0}),
+                   OTHER.coords: ({1, 2}, {0}, {1})}
     arr = fatpoints._Arrangement(planes, [], P)
     key = fatpoints._fresh_plane_at(fresh, arr.planes_through(on_none.coords),
                                     on_none.coords)
@@ -230,10 +267,11 @@ def test_double_step_builds_no_ideal_at_the_auxiliary_points(monkeypatch):
     scheme = FatPointScheme(((ORIGIN, 2), (OTHER, 1)))
     report = theorem32_double_step(scheme, seed=0)
     assert report.ok()
-    # each R_k is certified by its single crossing: no line ideal,
-    # saturation or point ideal is built there
-    assert len(saturations) == 6
-    assert len(bases) == 45
+    # each R_k is certified by its single crossing, and the pieces at the
+    # focus and at [0:1:0:0] are written down: one saturation a link, at
+    # the focus, and no line ideal, saturation or point ideal elsewhere
+    assert len(saturations) == 2
+    assert len(bases) == 29
 
 
 def test_auxiliary_point_on_two_planes_of_one_role_fails_at_once(
@@ -277,9 +315,36 @@ def test_double_step_refuses_a_focus_it_cannot_step(monkeypatch, points,
         raise AssertionError("a step tried before the focus check")
     monkeypatch.setattr(fatpoints, "_double_step_once", no_step)
     scheme = FatPointScheme(points)
-    with pytest.raises(AlgebraError, match="focus") as info:
+    with pytest.raises(InputError, match="focus"):
         theorem32_double_step(scheme, focus_index=focus_index, seed=0)
-    assert type(info.value) is AlgebraError
+
+
+def test_a_foreign_plane_through_the_focus_fails_the_incidence_test(
+        monkeypatch):
+    draw = fatpoints.general_forms_through
+
+    def through_the_focus(ring, point, count, seed, avoid=()):
+        if point == OTHER and seed == 11:
+            # the L plane x2 = 0 of [0:1:0:0] also holds [1:0:0:0]
+            return [(0, 0, 1, 0)]
+        return draw(ring, point, count, seed, avoid)
+
+    calls = []
+    crossings = fatpoints._Arrangement.crossings
+
+    def recording(arr, special):
+        calls.append(arr)
+        return crossings(arr, special)
+
+    monkeypatch.setattr(fatpoints, "general_forms_through", through_the_focus)
+    monkeypatch.setattr(fatpoints._Arrangement, "crossings", recording)
+    monkeypatch.setattr(fatpoints, "DOUBLE_STEP_TRIES", 1)
+    scheme = FatPointScheme(((ORIGIN, 2), (OTHER, 1)))
+    with pytest.raises(GenericityError,
+                       match=r"planes through \[1:0:0:0\] in Gor are not"):
+        theorem32_double_step(scheme, seed=0)
+    # the first link's first classification
+    assert len(calls) == 1
 
 
 # Z at the focus of the seed-0 (2, 1) first link: a subscheme of Gor, the
@@ -345,8 +410,8 @@ def test_two_lines_through_a_point_cut_out_the_point(data):
     except GenericityError:
         assume(False)
     assume(y != w)
-    piece = (fatpoints._lines_ideal(RING, [y])
-             + fatpoints._lines_ideal(RING, [w])).saturate_irrelevant()
+    piece = (lines_ideal(RING, [y]) + lines_ideal(RING, [w])
+             ).saturate_irrelevant()
     assert piece == point_ideal(RING, q)
 
 
@@ -364,9 +429,14 @@ def _sweep_lines(planes, cone, p):
 
 
 def _assert_matches_sweep(arr, cone, special, found):
-    counts, elsewhere, _ = found
+    elsewhere, on = found
     ref_counts, ref_elsewhere = sweep_crossings(
         *_sweep_lines(arr.planes, cone, arr.p), special, arr.p)
+    # the lines through a special point are the pairs of its planes
+    counts = {}
+    for key in special:
+        ys, ws = arr.lines_through(on[key])
+        counts[key] = len(ys) * len(ws)
     assert counts == ref_counts
     assert list(elsewhere.items()) == list(ref_elsewhere.items())
 
@@ -392,7 +462,7 @@ def test_crossings_match_the_pairwise_sweep(monkeypatch, a):
         first_cone = len(arr.planes[0]) * arr.nq
         cone = [(i, g - arr.nq) for i, g in arr.y[first_cone:]]
         _assert_matches_sweep(arr, cone, special, found)
-    assert any(n > 1 for _, _, (_, elsewhere, _) in calls
+    assert any(n > 1 for _, _, (elsewhere, _) in calls
                for n in elsewhere.values())
 
 
@@ -464,4 +534,4 @@ def test_plucker_keys_match_the_rref_rows(data):
         assert (keys[x] == keys[y]) == (rows[x] == rows[y])
     for ij, key in keys.items():
         assert rows[ij] == tuple(tuple(c % SMALL for c in r)
-                                 for r in fatpoints._line_rows(key))
+                                 for r in plucker_rows(key))
